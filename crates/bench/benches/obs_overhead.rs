@@ -1,8 +1,8 @@
-//! Decision-trace (`laminar-obs`) overhead on the PR 4 SMP workloads:
-//! the same three syscall mixes, each measured twice on the same
-//! kernel — tracing disabled (the default; every emit point is one
-//! relaxed atomic load) and tracing enabled (typed events staged
-//! per-syscall, flushed into bounded per-thread rings on commit).
+//! Decision-trace (`laminar-obs`) overhead on the PR 4 SMP workloads
+//! ([`laminar_bench::smp`]): the same three syscall mixes, each measured
+//! twice on the same kernel — tracing disabled (the default; every emit
+//! point is one relaxed atomic load) and tracing enabled (typed events
+//! staged per-syscall, flushed into bounded per-thread rings on commit).
 //!
 //! Nobody drains the rings during the run, so the enabled numbers are
 //! the worst case of a lagging reader: rings wrap and count truncation
@@ -14,10 +14,8 @@
 //! enabled-overhead gate; disabled-mode overhead is gated separately by
 //! the pr4_smp smoke run, which executes with tracing off).
 
+use laminar_bench::smp::{BigLock, WORKLOADS};
 use laminar_bench::{interleaved_best, overhead_pct};
-use laminar_difc::{CapSet, Label, LabelType, SecPair};
-use laminar_os::{Fd, Kernel, LaminarModule, TaskHandle, UserId};
-use std::sync::Arc;
 
 struct Volume {
     ops_per_worker: usize,
@@ -41,96 +39,6 @@ fn volume() -> Volume {
     }
 }
 
-type WorkerBody = Box<dyn Fn(usize, &TaskHandle, usize) + Sync>;
-
-struct Fixture {
-    kernel: Arc<Kernel>,
-    workers: Vec<TaskHandle>,
-    run: WorkerBody,
-}
-
-fn boot() -> (Arc<Kernel>, TaskHandle) {
-    let k = Kernel::boot(LaminarModule);
-    k.add_user(UserId(1), "bench");
-    let root = k.login(UserId(1)).unwrap();
-    (k, root)
-}
-
-/// Tainted workers on labeled files, 7 reads : 1 write — every
-/// iteration crosses flow checks at all the traced layers.
-fn labeled_file_read_heavy(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let tag = root.alloc_tag().unwrap();
-    let secret = SecPair::secrecy_only(Label::singleton(tag));
-    kernel.install_dir("/tmp/vault", secret.clone()).unwrap();
-    root.set_task_label(LabelType::Secrecy, Label::singleton(tag)).unwrap();
-    for w in 0..n {
-        let fd = root
-            .create_file_labeled(&format!("/tmp/vault/w{w}.dat"), secret.clone())
-            .unwrap();
-        root.write(fd, &[0u8; 64]).unwrap();
-        root.close(fd).unwrap();
-    }
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(|w, t, i| {
-            let path = format!("/tmp/vault/w{w}.dat");
-            if i % 8 == 7 {
-                t.write_file_at(&path, &[i as u8; 64]).unwrap();
-            } else {
-                t.read_file_at(&path, 64).unwrap();
-            }
-        }),
-    }
-}
-
-/// Per-worker pipe: one 64-byte write, one 64-byte read per iteration —
-/// the LSM delivery-verdict emit point on every write.
-fn pipe_pingpong(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let pipes: Vec<(Fd, Fd)> = (0..n).map(|_| root.pipe().unwrap()).collect();
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(move |w, t, _| {
-            let (r, wr) = pipes[w];
-            t.write(wr, &[0x42u8; 64]).unwrap();
-            let got = t.read(r, 64).unwrap();
-            assert_eq!(got.len(), 64);
-        }),
-    }
-}
-
-/// Per-worker path in the shared `/tmp`: create, close, unlink — three
-/// commits (three span flushes) per iteration.
-fn create_unlink_churn(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(|w, t, _| {
-            let path = format!("/tmp/churn{w}");
-            let fd = t.create(&path).unwrap();
-            t.close(fd).unwrap();
-            t.unlink(&path).unwrap();
-        }),
-    }
-}
-
-fn run_all(fx: &Fixture, ops_per_worker: usize) {
-    let task_sets: Vec<Vec<TaskHandle>> =
-        fx.workers.iter().map(|t| vec![t.clone()]).collect();
-    fx.kernel.run_parallel(task_sets, |w, own| {
-        for i in 0..ops_per_worker {
-            (fx.run)(w, &own[0], i);
-        }
-    });
-}
-
 struct Cell {
     threads: usize,
     disabled: f64,
@@ -141,12 +49,6 @@ fn main() {
     let vol = volume();
     let host_cpus =
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    type WorkloadRow = (&'static str, fn(usize) -> Fixture);
-    let workloads: &[WorkloadRow] = &[
-        ("labeled_file_read_heavy", labeled_file_read_heavy),
-        ("pipe_pingpong", pipe_pingpong),
-        ("create_unlink_churn", create_unlink_churn),
-    ];
 
     println!(
         "laminar-obs tracing overhead — {} ops/worker, best of {} interleaved trials, \
@@ -155,7 +57,7 @@ fn main() {
     );
     let mut json_workloads = Vec::new();
     let mut failures = Vec::new();
-    for (name, build) in workloads {
+    for (name, build) in WORKLOADS {
         println!("\n{name}");
         println!(
             "  {:>7}  {:>15}  {:>14}  {:>9}",
@@ -164,6 +66,7 @@ fn main() {
         let mut cells: Vec<Cell> = Vec::new();
         for &n in vol.thread_counts {
             let fx = build(n);
+            let lock = BigLock::default();
             let total = vol.ops_per_worker * n;
             // Interleaved trials: each runs disabled then enabled back to
             // back, so drift and cache warmth hit both variants. Best-of-N
@@ -173,11 +76,11 @@ fn main() {
                 vol.trials,
                 || {
                     laminar_obs::set_enabled(false);
-                    run_all(&fx, vol.ops_per_worker);
+                    fx.run_all(&lock, vol.ops_per_worker);
                 },
                 || {
                     laminar_obs::set_enabled(true);
-                    run_all(&fx, vol.ops_per_worker);
+                    fx.run_all(&lock, vol.ops_per_worker);
                     laminar_obs::set_enabled(false);
                 },
             );

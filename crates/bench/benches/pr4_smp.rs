@@ -1,17 +1,10 @@
 //! **PR 4** — lmbench-style multi-threaded syscall throughput on the
 //! sharded kernel.
 //!
-//! Three workloads, each at 1/2/4/8 worker threads, each measured twice
-//! on the *same* kernel: once in big-lock emulation
-//! ([`Kernel::set_serial_mode`] — every syscall serialises on one
-//! global mutex, the pre-PR-4 design) and once sharded (the default).
-//!
-//! * `labeled_file_read_heavy` — per-worker labeled file in a secret
-//!   dir, 7 reads : 1 write. Disjoint inode shards; the workload the
-//!   shard split exists for.
-//! * `pipe_pingpong` — per-worker pipe, 64-byte write then read.
-//! * `create_unlink_churn` — per-worker path created and unlinked; two
-//!   directory-mutating syscalls per iteration on the shared `/tmp`.
+//! The three [`laminar_bench::smp`] workloads, each at 1/2/4/8 worker
+//! threads, each measured twice on the *same* kernel: once behind the
+//! bench-side [`BigLock`] (every syscall serialises on one global
+//! mutex, the pre-shard design) and once sharded, as the kernel is.
 //!
 //! Results go to stdout and to `BENCH_PR4_smp.json` at the repo root.
 //! `BENCH_SMOKE=1` shrinks volume, measures only 1 and 2 threads, and
@@ -25,9 +18,7 @@
 //! speedup, and the JSON says so in its `caveat` field.
 
 use laminar_bench::median_time;
-use laminar_difc::{CapSet, Label, LabelType, SecPair};
-use laminar_os::{Fd, Kernel, LaminarModule, TaskHandle, UserId};
-use std::sync::Arc;
+use laminar_bench::smp::{BigLock, Fixture, WORKLOADS};
 use std::time::Duration;
 
 struct Volume {
@@ -50,100 +41,15 @@ fn volume() -> Volume {
     }
 }
 
-/// One iteration of a workload: `f(worker_index, handle, iteration)`.
-type WorkerBody = Box<dyn Fn(usize, &TaskHandle, usize) + Sync>;
-
-/// A workload fixture: a booted kernel plus one task handle per worker,
-/// and the per-iteration body each worker runs.
-struct Fixture {
-    kernel: Arc<Kernel>,
-    workers: Vec<TaskHandle>,
-    run: WorkerBody,
-}
-
-fn boot() -> (Arc<Kernel>, TaskHandle) {
-    let k = Kernel::boot(LaminarModule);
-    k.add_user(UserId(1), "bench");
-    let root = k.login(UserId(1)).unwrap();
-    (k, root)
-}
-
-/// Per-worker labeled file in a secret dir; workers are tainted at fork
-/// so every read and write crosses a real flow check. 7 reads : 1 write.
-fn labeled_file_read_heavy(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let tag = root.alloc_tag().unwrap();
-    let secret = SecPair::secrecy_only(Label::singleton(tag));
-    kernel.install_dir("/tmp/vault", secret.clone()).unwrap();
-    root.set_task_label(LabelType::Secrecy, Label::singleton(tag)).unwrap();
-    for w in 0..n {
-        let fd = root
-            .create_file_labeled(&format!("/tmp/vault/w{w}.dat"), secret.clone())
-            .unwrap();
-        root.write(fd, &[0u8; 64]).unwrap();
-        root.close(fd).unwrap();
-    }
-    // Forked while tainted: the workers inherit the secrecy label.
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(|w, t, i| {
-            let path = format!("/tmp/vault/w{w}.dat");
-            if i % 8 == 7 {
-                t.write_file_at(&path, &[i as u8; 64]).unwrap();
-            } else {
-                t.read_file_at(&path, 64).unwrap();
-            }
-        }),
-    }
-}
-
-/// Per-worker pipe: one 64-byte write, one 64-byte read per iteration.
-fn pipe_pingpong(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let pipes: Vec<(Fd, Fd)> = (0..n).map(|_| root.pipe().unwrap()).collect();
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(move |w, t, _| {
-            let (r, wr) = pipes[w];
-            t.write(wr, &[0x42u8; 64]).unwrap();
-            let got = t.read(r, 64).unwrap();
-            assert_eq!(got.len(), 64);
-        }),
-    }
-}
-
-/// Per-worker path in the shared `/tmp`: create, close, unlink.
-fn create_unlink_churn(n: usize) -> Fixture {
-    let (kernel, root) = boot();
-    let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
-    Fixture {
-        kernel,
-        workers,
-        run: Box::new(|w, t, _| {
-            let path = format!("/tmp/churn{w}");
-            let fd = t.create(&path).unwrap();
-            t.close(fd).unwrap();
-            t.unlink(&path).unwrap();
-        }),
-    }
-}
-
 /// One timed cell: `ops_per_worker` iterations on each of the fixture's
-/// workers through [`Kernel::run_parallel`], median of `trials`.
-fn measure(fx: &Fixture, ops_per_worker: usize, trials: usize) -> Duration {
-    let task_sets: Vec<Vec<TaskHandle>> =
-        fx.workers.iter().map(|t| vec![t.clone()]).collect();
-    median_time(trials, || {
-        fx.kernel.run_parallel(task_sets.clone(), |w, own| {
-            for i in 0..ops_per_worker {
-                (fx.run)(w, &own[0], i);
-            }
-        });
-    })
+/// workers, median of `trials`.
+fn measure(
+    fx: &Fixture,
+    lock: &BigLock,
+    ops_per_worker: usize,
+    trials: usize,
+) -> Duration {
+    median_time(trials, || fx.run_all(lock, ops_per_worker))
 }
 
 fn ops_per_sec(total_ops: usize, d: Duration) -> f64 {
@@ -160,19 +66,13 @@ fn main() {
     let vol = volume();
     let host_cpus =
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    type WorkloadRow = (&'static str, fn(usize) -> Fixture);
-    let workloads: &[WorkloadRow] = &[
-        ("labeled_file_read_heavy", labeled_file_read_heavy),
-        ("pipe_pingpong", pipe_pingpong),
-        ("create_unlink_churn", create_unlink_churn),
-    ];
 
     println!(
         "PR4 SMP syscall throughput — {} ops/worker, median of {} trials, host_cpus={}",
         vol.ops_per_worker, vol.trials, host_cpus
     );
     let mut json_workloads = Vec::new();
-    for (name, build) in workloads {
+    for (name, build) in WORKLOADS {
         println!("\n{name}");
         println!(
             "  {:>7}  {:>14}  {:>14}  {:>9}",
@@ -182,20 +82,12 @@ fn main() {
         for &n in vol.thread_counts {
             let fx = build(n);
             let total = vol.ops_per_worker * n;
+            let sharded = BigLock::default();
             // Warm-up (page in paths, fill caches) outside the timing.
-            fx.kernel.run_parallel(
-                fx.workers.iter().map(|t| vec![t.clone()]).collect(),
-                |w, own| {
-                    for i in 0..32 {
-                        (fx.run)(w, &own[0], i);
-                    }
-                },
-            );
-            // Interleave the two modes so frequency drift hits both.
-            fx.kernel.set_serial_mode(true);
-            let big = measure(&fx, vol.ops_per_worker, vol.trials);
-            fx.kernel.set_serial_mode(false);
-            let shard = measure(&fx, vol.ops_per_worker, vol.trials);
+            fx.run_all(&sharded, 32);
+            // Measure the two modes back to back so drift hits both.
+            let big = measure(&fx, &BigLock::enabled(), vol.ops_per_worker, vol.trials);
+            let shard = measure(&fx, &sharded, vol.ops_per_worker, vol.trials);
             let cell = Cell {
                 threads: n,
                 biglock: ops_per_sec(total, big),

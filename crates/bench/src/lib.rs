@@ -13,12 +13,13 @@
 //! | `fig9_app_overhead` | Figure 9: per-application overhead with the cost breakdown |
 //! | `micro_criterion` | Microbenchmarks of the primitive operations, incl. cached vs uncached flow checks |
 //!
-//! The library half hosts the DaCapo-like [`workloads`] and the timing
-//! utilities shared by the targets.
+//! The library half hosts the DaCapo-like [`workloads`], the SMP syscall
+//! fixtures in [`smp`], and the timing utilities shared by the targets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod smp;
 pub mod workloads;
 
 use std::time::{Duration, Instant};

@@ -22,6 +22,7 @@ use crate::lsm::{Access, SecurityModule};
 use crate::shard::{ShardKey, Tables, SHARD_COUNT};
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskSec, TaskStruct, UserId};
 use crate::txn::{IdCache, Quotas, Txn};
+use crate::vfs::file::Fd;
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
 use laminar_util::sync::Mutex;
@@ -187,10 +188,6 @@ pub struct Kernel {
     commit_seq: AtomicU64,
     commit_log_on: AtomicBool,
     commit_log: Mutex<Vec<CommitRecord>>,
-    /// When set, every syscall additionally serialises on `serial_lock`,
-    /// emulating the pre-shard big kernel lock (bench baseline mode).
-    serial_on: AtomicBool,
-    serial_lock: Mutex<()>,
     pub(crate) module: Box<dyn SecurityModule>,
     pub(crate) tags: TagAllocator,
     pub(crate) quotas: Quotas,
@@ -214,7 +211,32 @@ impl std::fmt::Debug for Kernel {
 ///
 /// Clone-able and `Send`: a `TaskHandle` can be moved into the OS thread
 /// that plays the corresponding principal. All methods take `&self`;
-/// the kernel serialises state access internally.
+/// the kernel synchronises state access internally.
+///
+/// Every method is a syscall or a read of the task's own state. A
+/// subject holding a handle cannot reach the trusted [`Kernel`] through
+/// it:
+///
+/// ```compile_fail
+/// fn escalate(task: &laminar_os::TaskHandle) {
+///     let _ = task.kernel();
+/// }
+/// ```
+///
+/// nor read pipe state past the LSM, which would reveal §5.2 silent
+/// drops (the trusted [`Kernel::inspect_pipe_for_test`] does that):
+///
+/// ```compile_fail
+/// fn peek(task: &laminar_os::TaskHandle) {
+///     let _ = task.pipe_queued_for_test(laminar_os::Fd(0));
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn peek(task: &laminar_os::TaskHandle) {
+///     let _ = task.pipe_msgs_for_test(laminar_os::Fd(0));
+/// }
+/// ```
 #[derive(Clone, Debug)]
 pub struct TaskHandle {
     pub(crate) kernel: Arc<Kernel>,
@@ -253,8 +275,6 @@ impl Kernel {
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
-            serial_on: AtomicBool::new(false),
-            serial_lock: Mutex::new(()),
             module: Box::new(module),
             tags,
             quotas,
@@ -329,13 +349,6 @@ impl Kernel {
         // reach the ring only on a final outcome; footprint restarts
         // discard the attempt's stage so decisions record exactly once.
         let span = laminar_obs::syscall_begin(name);
-        // Big-lock emulation mode for the bench baseline: one global
-        // mutex spans the entire dispatch, serialising all syscalls.
-        let _serial = if self.serial_on.load(Ordering::Relaxed) {
-            Some(self.serial_lock.lock())
-        } else {
-            None
-        };
         let mut footprint: BTreeSet<ShardKey> = BTreeSet::new();
         footprint.insert(ShardKey::task(tid));
         let mut ids = IdCache::default();
@@ -353,65 +366,46 @@ impl Kernel {
                 }
                 r
             }));
-            match outcome {
-                Ok(Ok(v)) => {
-                    txn.flush_hooks();
-                    let ticket = self.commit_ticket(tid);
-                    drop(txn);
-                    if let Some(span) = span {
-                        span.commit(ticket, None);
-                    }
-                    return Ok(v);
-                }
-                Ok(Err(OsError::Retry(k))) => {
+            // `None` is a fault: a caught panic, or restarts that did not
+            // converge (unreachable: the footprint only grows and there
+            // are SHARD_COUNT shards). Both fail closed.
+            let result = match outcome {
+                Ok(Err(OsError::Retry(k))) if attempts <= SHARD_COUNT + 8 => {
                     txn.rollback();
                     if let Some(span) = &span {
                         span.retry();
-                    }
-                    if attempts > SHARD_COUNT + 8 {
-                        // Should be unreachable: the footprint only grows
-                        // and there are SHARD_COUNT shards. Fail closed.
-                        txn.flush_hooks();
-                        let ticket = self.commit_ticket(tid);
-                        drop(txn);
-                        crate::stats::note_syscall_rolled_back();
-                        if let Some(span) = span {
-                            span.rollback(ticket);
-                        }
-                        return Err(OsError::Internal);
                     }
                     drop(txn);
                     #[cfg(feature = "fault-injection")]
                     self.failpoints.restore(fp_snapshot);
                     footprint.insert(ShardKey(k));
+                    continue;
                 }
-                Ok(Err(e)) => {
-                    txn.rollback();
-                    txn.flush_hooks();
-                    let ticket = self.commit_ticket(tid);
-                    drop(txn);
-                    // A typed denial is a final, visible outcome: its
-                    // staged decision events (the deny verdicts) flush
-                    // like a commit.
-                    if let Some(span) = span {
-                        span.commit(ticket, Some(e.audit_name()));
+                Ok(Err(OsError::Retry(_))) | Err(_) => None,
+                Ok(r) => Some(r),
+            };
+            if !matches!(result, Some(Ok(_))) {
+                txn.rollback();
+            }
+            txn.flush_hooks();
+            let ticket = self.commit_ticket(tid);
+            drop(txn);
+            if result.is_none() {
+                crate::stats::note_syscall_rolled_back();
+            }
+            // A typed denial is a final, visible outcome: its staged
+            // decision events (the deny verdicts) flush like a commit. A
+            // fault's effects were undone; its staged decisions are
+            // discarded with them.
+            if let Some(span) = span {
+                match &result {
+                    Some(r) => {
+                        span.commit(ticket, r.as_ref().err().map(OsError::audit_name))
                     }
-                    return Err(e);
-                }
-                Err(_panic) => {
-                    txn.rollback();
-                    txn.flush_hooks();
-                    let ticket = self.commit_ticket(tid);
-                    drop(txn);
-                    crate::stats::note_syscall_rolled_back();
-                    // The body's effects were undone; its staged
-                    // decisions are discarded with them.
-                    if let Some(span) = span {
-                        span.rollback(ticket);
-                    }
-                    return Err(OsError::Internal);
+                    None => span.rollback(ticket),
                 }
             }
+            return result.unwrap_or(Err(OsError::Internal));
         }
     }
 
@@ -460,13 +454,6 @@ impl Kernel {
         let mut log = std::mem::take(&mut *self.commit_log.lock());
         log.sort_by_key(|r| r.seq);
         log
-    }
-
-    /// Switches big-lock emulation on or off: when on, every syscall
-    /// additionally serialises on one global mutex. This is the
-    /// pre-shard baseline the SMP benchmark compares against.
-    pub fn set_serial_mode(&self, on: bool) {
-        self.serial_on.store(on, Ordering::SeqCst);
     }
 
     /// Runs `f(worker_index, task_set)` on one OS thread per task set,
@@ -720,6 +707,50 @@ impl Kernel {
         Ok((inode.labels().clone(), data))
     }
 
+    /// Conformance/test inspection of the pipe behind `tid`'s `fd`: the
+    /// queued bytes and the queued messages (byte chunks plus
+    /// capabilities; a cap at the head blocks byte reads, so the testkit
+    /// diffs the count against its oracle). Like
+    /// [`Kernel::inspect_node_for_test`] it runs no hook and is not part
+    /// of the subject API: a writer that could read a pipe's depth would
+    /// see §5.2 silent drops, and reads by higher-labeled tasks.
+    ///
+    /// # Errors
+    /// [`OsError::NoSuchTask`] for a dead task; [`OsError::BadFd`] if
+    /// `fd` is not open on a pipe.
+    pub fn inspect_pipe_for_test(
+        self: &Arc<Self>,
+        tid: TaskId,
+        fd: Fd,
+    ) -> OsResult<(usize, usize)> {
+        let pid = self.live_task(tid, |t| t.process)?;
+        let ino = {
+            let shard = self.tables.procs_for(pid);
+            let proc = shard.get(&pid).ok_or(OsError::Internal)?;
+            proc.fds.get(fd).ok_or(OsError::BadFd)?.inode
+        };
+        let shard = self.tables.inodes_for(ino);
+        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
+            InodeKind::Pipe { buffer } => Ok((buffer.queued(), buffer.msg_count())),
+            _ => Err(OsError::BadFd),
+        }
+    }
+
+    /// Reads the live task `tid` outside any transaction: one task-shard
+    /// lock, no hook, no failpoint.
+    pub(crate) fn live_task<R>(
+        &self,
+        tid: TaskId,
+        f: impl FnOnce(&TaskStruct) -> R,
+    ) -> OsResult<R> {
+        self.tables
+            .tasks_for(tid)
+            .get(&tid)
+            .filter(|t| t.alive)
+            .map(f)
+            .ok_or(OsError::NoSuchTask)
+    }
+
     /// Fault injection for the conformance testkit: poisons the mutex of
     /// the shard with the given flat ordinal (`0..KERNEL_SHARDS`,
     /// wrapping), so the next syscall touching that shard takes the
@@ -854,18 +885,9 @@ impl Kernel {
         self.resolve_full(st, tid, path, true)
     }
 
-    /// Like [`Kernel::resolve`] but does not follow a symlink in the
-    /// final component (for `readlink`/`lstat`).
-    pub(crate) fn resolve_nofollow(
-        &self,
-        st: &mut Txn<'_>,
-        tid: TaskId,
-        path: &str,
-    ) -> OsResult<Resolved> {
-        self.resolve_full(st, tid, path, false)
-    }
-
-    fn resolve_full(
+    /// [`Kernel::resolve`], but with `follow_final == false` a symlink in
+    /// the final component is not followed (for `readlink`/`lstat`).
+    pub(crate) fn resolve_full(
         &self,
         st: &mut Txn<'_>,
         tid: TaskId,
@@ -883,12 +905,7 @@ impl Kernel {
             let proc_id = st.task(tid)?.process;
             (st.proc(proc_id)?.cwd, path)
         };
-        let comps: Vec<String> = rel
-            .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
-            .map(str::to_string)
-            .collect();
-        self.walk(st, &task, start, comps, follow_final, 0)
+        self.walk(st, &task, start, components(rel), follow_final, 0)
     }
 
     fn walk(
@@ -954,26 +971,11 @@ impl Kernel {
                         }
                         // Following reads the link inode itself.
                         self.hook_inode_permission(st, task, child, Access::Read)?;
-                        let (nstart, mut ncomps): (InodeId, Vec<String>) =
-                            if let Some(strip) = target.strip_prefix('/') {
-                                (
-                                    self.root,
-                                    strip
-                                        .split('/')
-                                        .filter(|c| !c.is_empty() && *c != ".")
-                                        .map(str::to_string)
-                                        .collect(),
-                                )
-                            } else {
-                                (
-                                    cur,
-                                    target
-                                        .split('/')
-                                        .filter(|c| !c.is_empty() && *c != ".")
-                                        .map(str::to_string)
-                                        .collect(),
-                                )
-                            };
+                        let (nstart, rel) = match target.strip_prefix('/') {
+                            Some(rel) => (self.root, rel),
+                            None => (cur, target.as_str()),
+                        };
+                        let mut ncomps = components(rel);
                         ncomps.extend(comps[i + 1..].iter().cloned());
                         return self.walk(
                             st,
@@ -1012,6 +1014,11 @@ impl Kernel {
     }
 }
 
+/// The components of a relative path, minus empty and `.` ones.
+fn components(rel: &str) -> Vec<String> {
+    rel.split('/').filter(|c| !c.is_empty() && *c != ".").map(str::to_string).collect()
+}
+
 pub(crate) struct Resolved {
     /// Parent directory (None when the path names the root / cwd itself).
     pub parent: Option<InodeId>,
@@ -1024,12 +1031,6 @@ impl TaskHandle {
     #[must_use]
     pub fn id(&self) -> TaskId {
         self.tid
-    }
-
-    /// The kernel this task runs on.
-    #[must_use]
-    pub fn kernel(&self) -> &Arc<Kernel> {
-        &self.kernel
     }
 }
 
@@ -1141,19 +1142,5 @@ mod tests {
         let a = k.login(UserId(1)).unwrap();
         let b = a.clone();
         let _ = k.run_parallel(vec![vec![a], vec![b]], |_, _| ());
-    }
-
-    #[test]
-    fn serial_mode_still_serves_syscalls() {
-        let k = Kernel::boot(LaminarModule);
-        k.add_user(UserId(1), "alice");
-        let sh = k.login(UserId(1)).unwrap();
-        k.set_serial_mode(true);
-        let fd = sh.create("f").unwrap();
-        sh.write(fd, b"hello").unwrap();
-        sh.close(fd).unwrap();
-        assert!(sh.stat("f").is_ok());
-        k.set_serial_mode(false);
-        assert!(sh.stat("f").is_ok());
     }
 }

@@ -20,6 +20,7 @@ use crate::error::{OsError, OsResult};
 use crate::kernel::TaskHandle;
 use crate::lsm::{Access, DeliveryVerdict};
 use crate::task::{ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea};
+use crate::txn::{quota_denied, Txn};
 use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
 use crate::vfs::inode::{InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
@@ -28,6 +29,45 @@ use laminar_difc::{
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Narrows a file offset for the VFS. On 32-bit hosts a `u64` offset
+/// past `usize::MAX` must fail closed (as the size quota), not truncate
+/// into a small in-bounds write.
+fn file_offset(offset: u64) -> OsResult<usize> {
+    usize::try_from(offset).map_err(|_| quota_denied("file size"))
+}
+
+/// Adds (`fork`) or drops (`close`, `exit`) one reader or writer
+/// reference per pipe end.
+fn pipe_end_refs(
+    st: &mut Txn<'_>,
+    ends: impl IntoIterator<Item = (InodeId, PipeEnd)>,
+    add: bool,
+) -> OsResult<()> {
+    for (ino, end) in ends {
+        if let Some(InodeKind::Pipe { buffer }) =
+            st.inode_mut_opt(ino)?.map(|i| &mut i.kind)
+        {
+            match (end, add) {
+                (PipeEnd::Read, true) => buffer.add_reader(),
+                (PipeEnd::Write, true) => buffer.add_writer(),
+                (PipeEnd::Read, false) => buffer.drop_reader(),
+                (PipeEnd::Write, false) => buffer.drop_writer(),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The silent-drop audit channel of a pipe or socket fd; `None` for
+/// other fds.
+fn drop_channel(file: &OpenFile) -> Option<laminar_obs::DropChannel> {
+    match (file.pipe_end, file.socket_end) {
+        (Some(_), _) => Some(laminar_obs::DropChannel::Pipe),
+        (None, Some(_)) => Some(laminar_obs::DropChannel::Socket),
+        (None, None) => None,
+    }
+}
 
 /// Stages a trusted `SilentDrop` audit event. The subject still sees
 /// full success — only the kernel-side log records the drop (§5.2).
@@ -145,22 +185,15 @@ impl TaskHandle {
     /// address spaces.
     pub fn drop_label_tcb(&self, target: TaskId) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "drop_label_tcb", |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "drop_label_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = st.task(self.tid)?.process;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "drop_label_tcb is limited to the caller's address space",
-                ));
-            }
+            self.tcb_gate(st, target)?;
             // Clear everything except the tcb tag itself if the target is the
             // trusted thread (so it can keep making privileged calls).
-            let keep_tcb = t.security.labels.integrity().contains(self.kernel.tcb_tag());
+            let keep_tcb = st
+                .task(target)?
+                .security
+                .labels
+                .integrity()
+                .contains(self.kernel.tcb_tag());
             let new = if keep_tcb && target == self.tid {
                 SecPair::integrity_only(Label::singleton(self.kernel.tcb_tag()))
             } else {
@@ -184,22 +217,26 @@ impl TaskHandle {
     /// address spaces.
     pub fn set_task_labels_tcb(&self, target: TaskId, labels: SecPair) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "set_task_labels_tcb", |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "set_task_labels_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = st.task(self.tid)?.process;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "set_task_labels_tcb is limited to the caller's address space",
-                ));
-            }
+            self.tcb_gate(st, target)?;
             st.task_mut(target)?.security.labels = labels.clone();
             Ok(())
         })
+    }
+
+    /// The gate of the three `*_tcb` calls: the caller's integrity label
+    /// carries the `tcb` tag, and `target` shares its address space.
+    fn tcb_gate(&self, st: &mut Txn<'_>, target: TaskId) -> OsResult<()> {
+        let me = st.task_alive(self.tid)?;
+        if !me.security.labels.integrity().contains(self.kernel.tcb_tag()) {
+            return Err(OsError::PermissionDenied("requires the tcb integrity tag"));
+        }
+        let my_pid = me.process;
+        if st.task(target)?.process != my_pid {
+            return Err(OsError::PermissionDenied(
+                "limited to the caller's address space",
+            ));
+        }
+        Ok(())
     }
 
     /// `drop_capabilities`: permanently removes capabilities from the
@@ -229,19 +266,7 @@ impl TaskHandle {
     /// address spaces.
     pub fn grant_capabilities_tcb(&self, target: TaskId, caps: &CapSet) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "grant_capabilities_tcb", |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "grant_capabilities_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = st.task(self.tid)?.process;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "grant_capabilities_tcb is limited to the caller's address space",
-                ));
-            }
+            self.tcb_gate(st, target)?;
             let t = st.task_mut(target)?;
             t.security.caps = Arc::new(t.security.caps.union(caps));
             Ok(())
@@ -254,12 +279,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_labels(&self) -> OsResult<SecPair> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.security.labels.clone())
-            .ok_or(OsError::NoSuchTask)
+        self.kernel.live_task(self.tid, |t| t.security.labels.clone())
     }
 
     /// Current capability set of the calling task. (Read-only: bypasses
@@ -268,12 +288,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_caps(&self) -> OsResult<CapSet> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| (*t.security.caps).clone())
-            .ok_or(OsError::NoSuchTask)
+        self.kernel.live_task(self.tid, |t| (*t.security.caps).clone())
     }
 
     /// `write_capability`: sends a capability through a pipe fd. The
@@ -485,17 +500,7 @@ impl TaskHandle {
         self.kernel.syscall_on(self.tid, "close", |st| {
             let pid = st.task_alive(self.tid)?.process;
             let file = st.proc_mut(pid)?.fds.remove(fd).ok_or(OsError::BadFd)?;
-            if let Some(end) = file.pipe_end {
-                if let Some(inode) = st.inode_mut_opt(file.inode)? {
-                    if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                        match end {
-                            PipeEnd::Read => buffer.drop_reader(),
-                            PipeEnd::Write => buffer.drop_writer(),
-                        }
-                    }
-                }
-            }
-            Ok(())
+            pipe_end_refs(st, file.pipe_end.map(|end| (file.inode, end)), false)
         })
     }
 
@@ -517,28 +522,14 @@ impl TaskHandle {
             }
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            match file.pipe_end {
-                Some(PipeEnd::Read) => {
+            match drop_channel(&file) {
+                Some(_) => {
+                    // Pipe or socket read: nonblocking, label-mediated.
                     self.kernel.module.pipe_read(&sec, &labels)?;
-                    let data = match &mut st.inode_mut(file.inode)?.kind {
-                        InodeKind::Pipe { buffer } => buffer.pop_bytes(max),
-                        _ => Vec::new(),
-                    };
-                    Ok(data)
-                }
-                Some(PipeEnd::Write) => Err(OsError::BadFd),
-                None if file.socket_end.is_some() => {
-                    // Socket read: nonblocking, label-mediated like a pipe.
-                    self.kernel.module.pipe_read(&sec, &labels)?;
-                    let data =
-                        match (&mut st.inode_mut(file.inode)?.kind, file.socket_end) {
-                            (InodeKind::Socket { ab, ba }, Some(end)) => match end {
-                                SocketEnd::A => ba.pop_bytes(max),
-                                SocketEnd::B => ab.pop_bytes(max),
-                            },
-                            _ => Vec::new(),
-                        };
-                    Ok(data)
+                    let inode = st.inode_mut(file.inode)?;
+                    Ok(file
+                        .queue(&mut inode.kind, true)
+                        .map_or_else(Vec::new, |q| q.pop_bytes(max)))
                 }
                 None => {
                     self.kernel.module.file_permission(&sec, &labels, Access::Read)?;
@@ -546,7 +537,7 @@ impl TaskHandle {
                     let data = match &inode.kind {
                         InodeKind::File { data } => {
                             let start = (file.offset as usize).min(data.len());
-                            let end = (start + max).min(data.len());
+                            let end = start.saturating_add(max).min(data.len());
                             data[start..end].to_vec()
                         }
                         InodeKind::NullDevice => Vec::new(),
@@ -589,59 +580,24 @@ impl TaskHandle {
             }
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            match file.pipe_end {
-                Some(PipeEnd::Write) => {
-                    match self.kernel.module.pipe_write(&sec, &labels) {
-                        DeliveryVerdict::Deliver => {
-                            if let InodeKind::Pipe { buffer } =
-                                &mut st.inode_mut(file.inode)?.kind
-                            {
-                                if !buffer.push_bytes(data) {
-                                    // Full ⇒ silent drop (audited kernel-side).
-                                    obs_drop(laminar_obs::DropChannel::Pipe);
-                                }
-                            }
-                        }
-                        DeliveryVerdict::SilentDrop => {
-                            obs_drop(laminar_obs::DropChannel::Pipe);
-                        }
-                    }
-                    Ok(data.len())
-                }
-                Some(PipeEnd::Read) => Err(OsError::BadFd),
-                None if file.socket_end.is_some() => {
-                    // Socket write: deliver or silently drop (pipe semantics).
-                    match self.kernel.module.pipe_write(&sec, &labels) {
-                        DeliveryVerdict::Deliver => {
-                            if let (InodeKind::Socket { ab, ba }, Some(end)) =
-                                (&mut st.inode_mut(file.inode)?.kind, file.socket_end)
-                            {
-                                let queued = match end {
-                                    SocketEnd::A => ab.push_bytes(data),
-                                    SocketEnd::B => ba.push_bytes(data),
-                                };
-                                if !queued {
-                                    obs_drop(laminar_obs::DropChannel::Socket);
-                                }
-                            }
-                        }
-                        DeliveryVerdict::SilentDrop => {
-                            obs_drop(laminar_obs::DropChannel::Socket);
-                        }
+            match drop_channel(&file) {
+                Some(channel) => {
+                    // Pipe or socket write: deliver, or drop silently when
+                    // the flow is illegal or the queue is full (audited
+                    // kernel-side).
+                    let delivered = self.kernel.module.pipe_write(&sec, &labels)
+                        == DeliveryVerdict::Deliver
+                        && file
+                            .queue(&mut st.inode_mut(file.inode)?.kind, false)
+                            .is_none_or(|q| q.push_bytes(data));
+                    if !delivered {
+                        obs_drop(channel);
                     }
                     Ok(data.len())
                 }
                 None => {
                     self.kernel.module.file_permission(&sec, &labels, Access::Write)?;
-                    // Checked narrowing: on 32-bit hosts a u64 offset
-                    // past usize::MAX must fail closed (as the size
-                    // quota), not truncate into a small in-bounds write.
-                    let offset = usize::try_from(file.offset).map_err(|_| {
-                        laminar_obs::emit(laminar_obs::Event::QuotaExceeded {
-                            resource: "file size",
-                        });
-                        OsError::QuotaExceeded("file size")
-                    })?;
+                    let offset = file_offset(file.offset)?;
                     match st.inode_opt(file.inode)?.map(|i| &i.kind) {
                         Some(InodeKind::File { .. }) => {
                             st.write_file_data(file.inode, offset, data)?;
@@ -696,22 +652,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::IsADirectory`]; flow vetoes.
     pub fn write_file_at(&self, path: &str, data: &[u8]) -> OsResult<usize> {
-        self.kernel.syscall_on(self.tid, "write_file_at", |st| {
-            let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
-            match st.inode_opt(ino)?.map(|i| &i.kind) {
-                Some(InodeKind::File { .. }) => {
-                    st.write_file_data(ino, 0, data)?;
-                    Ok(data.len())
-                }
-                Some(InodeKind::NullDevice) => Ok(data.len()),
-                Some(InodeKind::Dir { .. }) => Err(OsError::IsADirectory),
-                Some(_) => Err(OsError::Unsupported("write_file_at on a special inode")),
-                None => Err(OsError::Internal),
-            }
-        })
+        self.write_path("write_file_at", path, 0, data)
     }
 
     /// Like [`Self::write_file_at`], but writing at `offset` instead of
@@ -730,17 +671,22 @@ impl TaskHandle {
         offset: u64,
         data: &[u8],
     ) -> OsResult<usize> {
-        self.kernel.syscall_on(self.tid, "write_file_at_off", |st| {
+        self.write_path("write_file_at_off", path, offset, data)
+    }
+
+    fn write_path(
+        &self,
+        name: &'static str,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+    ) -> OsResult<usize> {
+        self.kernel.syscall_on(self.tid, name, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
-            let offset = usize::try_from(offset).map_err(|_| {
-                laminar_obs::emit(laminar_obs::Event::QuotaExceeded {
-                    resource: "file size",
-                });
-                OsError::QuotaExceeded("file size")
-            })?;
+            let offset = file_offset(offset)?;
             match st.inode_opt(ino)?.map(|i| &i.kind) {
                 Some(InodeKind::File { .. }) => {
                     st.write_file_data(ino, offset, data)?;
@@ -762,23 +708,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn stat(&self, path: &str) -> OsResult<Metadata> {
-        self.kernel.syscall_on(self.tid, "stat", |st| {
-            let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let inode = st.inode_opt(ino)?.ok_or(OsError::Internal)?;
-            Ok(Metadata {
-                inode: ino,
-                is_dir: inode.kind.is_dir(),
-                size: match &inode.kind {
-                    InodeKind::File { data } => data.len() as u64,
-                    _ => 0,
-                },
-                labels: inode.labels().clone(),
-                nlink: inode.nlink,
-            })
-        })
+        self.stat_path("stat", path, true)
     }
 
     /// Like `stat`, but does not follow a final-component symlink (the
@@ -787,9 +717,18 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn lstat(&self, path: &str) -> OsResult<Metadata> {
-        self.kernel.syscall_on(self.tid, "lstat", |st| {
+        self.stat_path("lstat", path, false)
+    }
+
+    fn stat_path(
+        &self,
+        name: &'static str,
+        path: &str,
+        follow: bool,
+    ) -> OsResult<Metadata> {
+        self.kernel.syscall_on(self.tid, name, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
+            let r = self.kernel.resolve_full(st, self.tid, path, follow)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             let inode = st.inode_opt(ino)?.ok_or(OsError::Internal)?;
@@ -898,36 +837,15 @@ impl TaskHandle {
     /// inode/fd exhaustion (the whole call rolls back — no half-made
     /// pipe is left behind).
     pub fn pipe(&self) -> OsResult<(Fd, Fd)> {
-        self.kernel.syscall_on(self.tid, "pipe", |st| {
-            let sec = st.task_sec(self.tid)?;
-            let capacity = self.kernel.quotas.pipe_capacity;
-            let ino = st.alloc_inode(
-                InodeKind::Pipe { buffer: PipeBuffer::new(capacity) },
-                sec.labels.clone(),
-            )?;
-            let pid = st.task(self.tid)?.process;
-            let r = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::Read,
-                    offset: 0,
-                    pipe_end: Some(PipeEnd::Read),
-                    socket_end: None,
-                },
-            )?;
-            let w = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::Write,
-                    offset: 0,
-                    pipe_end: Some(PipeEnd::Write),
-                    socket_end: None,
-                },
-            )?;
-            Ok((r, w))
-        })
+        let buffer = PipeBuffer::new(self.kernel.quotas.pipe_capacity);
+        self.channel(
+            "pipe",
+            &InodeKind::Pipe { buffer },
+            [
+                (OpenMode::Read, Some(PipeEnd::Read), None),
+                (OpenMode::Write, Some(PipeEnd::Write), None),
+            ],
+        )
     }
 
     /// Creates a connected socket pair labeled with the calling thread's
@@ -938,38 +856,38 @@ impl TaskHandle {
     /// Fails if the task has exited; [`OsError::QuotaExceeded`] on
     /// inode/fd exhaustion (atomic, like [`Self::pipe`]).
     pub fn socketpair(&self) -> OsResult<(Fd, Fd)> {
-        self.kernel.syscall_on(self.tid, "socketpair", |st| {
+        let capacity = self.kernel.quotas.pipe_capacity;
+        let (ab, ba) = (PipeBuffer::new(capacity), PipeBuffer::new(capacity));
+        self.channel(
+            "socketpair",
+            &InodeKind::Socket { ab, ba },
+            [
+                (OpenMode::ReadWrite, None, Some(SocketEnd::A)),
+                (OpenMode::ReadWrite, None, Some(SocketEnd::B)),
+            ],
+        )
+    }
+
+    /// Allocates a channel inode carrying the caller's labels and opens
+    /// its two ends.
+    fn channel(
+        &self,
+        name: &'static str,
+        kind: &InodeKind,
+        ends: [(OpenMode, Option<PipeEnd>, Option<SocketEnd>); 2],
+    ) -> OsResult<(Fd, Fd)> {
+        self.kernel.syscall_on(self.tid, name, |st| {
             let sec = st.task_sec(self.tid)?;
-            let capacity = self.kernel.quotas.pipe_capacity;
-            let ino = st.alloc_inode(
-                InodeKind::Socket {
-                    ab: PipeBuffer::new(capacity),
-                    ba: PipeBuffer::new(capacity),
-                },
-                sec.labels.clone(),
-            )?;
+            let inode = st.alloc_inode(kind.clone(), sec.labels.clone())?;
             let pid = st.task(self.tid)?.process;
-            let a = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::ReadWrite,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: Some(SocketEnd::A),
-                },
-            )?;
-            let b = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::ReadWrite,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: Some(SocketEnd::B),
-                },
-            )?;
-            Ok((a, b))
+            let [a, b] = ends.map(|(mode, pipe_end, socket_end)| OpenFile {
+                inode,
+                mode,
+                offset: 0,
+                pipe_end,
+                socket_end,
+            });
+            Ok((st.fd_insert(pid, a)?, st.fd_insert(pid, b)?))
         })
     }
 
@@ -1013,7 +931,7 @@ impl TaskHandle {
     pub fn readlink(&self, path: &str) -> OsResult<String> {
         self.kernel.syscall_on(self.tid, "readlink", |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
+            let r = self.kernel.resolve_full(st, self.tid, path, false)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             match st.inode_opt(ino)?.map(|i| &i.kind) {
@@ -1040,60 +958,6 @@ impl TaskHandle {
             }
             st.fd_set_offset(pid, fd, offset)
         })
-    }
-
-    /// Bytes currently queued in a pipe — a *debugging/test* affordance
-    /// (not part of the paper's API; exposing it to untrusted code would
-    /// be a channel). Read-only: bypasses the transaction machinery.
-    ///
-    /// # Errors
-    /// [`OsError::BadFd`] if `fd` is not a pipe.
-    pub fn pipe_queued_for_test(&self, fd: Fd) -> OsResult<usize> {
-        let (pid, ino) = self.fd_inode_readonly(fd)?;
-        let _ = pid;
-        let shard = self.kernel.tables.inodes_for(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(buffer.queued()),
-            _ => Err(OsError::BadFd),
-        }
-    }
-
-    /// Messages (byte chunks plus capabilities) currently queued in a
-    /// pipe — a test affordance like [`Self::pipe_queued_for_test`],
-    /// used by the conformance testkit to diff buffer structure (a cap
-    /// at the head blocks byte reads, so the count matters) against the
-    /// reference oracle.
-    ///
-    /// # Errors
-    /// [`OsError::BadFd`] if `fd` is not a pipe.
-    pub fn pipe_msgs_for_test(&self, fd: Fd) -> OsResult<usize> {
-        let (pid, ino) = self.fd_inode_readonly(fd)?;
-        let _ = pid;
-        let shard = self.kernel.tables.inodes_for(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(buffer.msg_count()),
-            _ => Err(OsError::BadFd),
-        }
-    }
-
-    /// Sequential single-shard lookup of the inode behind one of the
-    /// caller's fds (read-only paths; locks one shard at a time).
-    fn fd_inode_readonly(&self, fd: Fd) -> OsResult<(ProcessId, InodeId)> {
-        let pid = {
-            let shard = self.kernel.tables.tasks_for(self.tid);
-            shard.get(&self.tid).ok_or(OsError::NoSuchTask)?.process
-        };
-        let ino = {
-            let shard = self.kernel.tables.procs_for(pid);
-            shard
-                .get(&pid)
-                .ok_or(OsError::Internal)?
-                .fds
-                .get(fd)
-                .ok_or(OsError::BadFd)?
-                .inode
-        };
-        Ok((pid, ino))
     }
 
     // ----- processes, threads, signals -------------------------------------
@@ -1127,20 +991,7 @@ impl TaskHandle {
             let (cwd, fds, binary) =
                 (parent.cwd, parent.fds.clone_for_fork(), parent.binary.clone());
             // Duplicated pipe ends gain reader/writer references.
-            let pipe_refs: Vec<(InodeId, PipeEnd)> = fds
-                .iter()
-                .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
-                .collect();
-            for (ino, end) in pipe_refs {
-                if let Some(inode) = st.inode_mut_opt(ino)? {
-                    if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                        match end {
-                            PipeEnd::Read => buffer.add_reader(),
-                            PipeEnd::Write => buffer.add_writer(),
-                        }
-                    }
-                }
-            }
+            pipe_end_refs(st, fds.pipe_ends(), true)?;
             let (tid, new_pid) = st.spawn_process(user, cwd, child_caps)?;
             {
                 let p = st.proc_mut(new_pid)?;
@@ -1223,34 +1074,14 @@ impl TaskHandle {
             // table) once its last task exits, so fork-heavy workloads do
             // not grow the kernel tables without bound.
             st.remove_task(self.tid)?;
-            let last_task_fds = {
-                let p = st.proc_mut(pid)?;
-                p.tasks.retain(|&x| x != self.tid);
-                if p.tasks.is_empty() {
-                    Some(
-                        p.fds
-                            .iter()
-                            .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
-                            .collect::<Vec<(InodeId, PipeEnd)>>(),
-                    )
-                } else {
-                    None
-                }
-            };
-            if let Some(fds) = last_task_fds {
-                st.remove_process(pid)?;
-                for (ino, end) in fds {
-                    if let Some(inode) = st.inode_mut_opt(ino)? {
-                        if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                            match end {
-                                PipeEnd::Read => buffer.drop_reader(),
-                                PipeEnd::Write => buffer.drop_writer(),
-                            }
-                        }
-                    }
-                }
+            let p = st.proc_mut(pid)?;
+            p.tasks.retain(|&x| x != self.tid);
+            if !p.tasks.is_empty() {
+                return Ok(());
             }
-            Ok(())
+            let ends = p.fds.pipe_ends();
+            st.remove_process(pid)?;
+            pipe_end_refs(st, ends, false)
         })
     }
 
@@ -1295,12 +1126,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn user(&self) -> OsResult<UserId> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.user)
-            .ok_or(OsError::NoSuchTask)
+        self.kernel.live_task(self.tid, |t| t.user)
     }
 
     /// The process this task belongs to. (Read-only: bypasses the
@@ -1309,12 +1135,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn process(&self) -> OsResult<ProcessId> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.process)
-            .ok_or(OsError::NoSuchTask)
+        self.kernel.live_task(self.tid, |t| t.process)
     }
 
     // ----- memory (for the Table 2 microbenchmarks) -------------------------
@@ -1341,7 +1162,9 @@ impl TaskHandle {
             self.kernel.module.file_mmap(&sec, backing_labels.as_ref())?;
             let p = st.proc_mut(pid)?;
             let start = p.next_mmap_page;
-            p.next_mmap_page += pages;
+            p.next_mmap_page = start
+                .checked_add(pages)
+                .ok_or(OsError::InvalidArgument("mapping overflows the address space"))?;
             p.vm_areas.push(VmArea { start, pages, read: true, write: true });
             Ok(start)
         })
@@ -1388,14 +1211,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Fault`] on an illegal access.
     pub fn page_access(&self, page: u64, is_write: bool) -> OsResult<()> {
-        let pid = {
-            let shard = self.kernel.tables.tasks_for(self.tid);
-            shard
-                .get(&self.tid)
-                .filter(|t| t.alive)
-                .map(|t| t.process)
-                .ok_or(OsError::NoSuchTask)?
-        };
+        let pid = self.process()?;
         let shard = self.kernel.tables.procs_for(pid);
         let p = shard.get(&pid).ok_or(OsError::Internal)?;
         for a in &p.vm_areas {

@@ -46,6 +46,7 @@ use crate::vfs::file::{Fd, OpenFile};
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use laminar_difc::{CapSet, SecPair, Tag};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::Ordering;
 
 /// Resource limits enforced per kernel instance (fixed at boot).
@@ -86,7 +87,7 @@ impl Default for Quotas {
 /// typed error. Every `QuotaExceeded` produced by the transaction layer
 /// goes through here so the audit log sees each denial exactly once
 /// (the stage is discarded on footprint restarts).
-fn quota_denied(resource: &'static str) -> OsError {
+pub(crate) fn quota_denied(resource: &'static str) -> OsError {
     laminar_obs::emit(laminar_obs::Event::QuotaExceeded { resource });
     OsError::QuotaExceeded(resource)
 }
@@ -98,53 +99,54 @@ fn quota_denied(resource: &'static str) -> OsError {
 /// restarted body's lock footprint stable.
 #[derive(Default)]
 pub(crate) struct IdCache {
-    tasks: Vec<u64>,
-    procs: Vec<u64>,
-    inodes: Vec<u64>,
-    tags: Vec<Tag>,
-    cur: (usize, usize, usize, usize),
+    tasks: Replay<TaskId>,
+    procs: Replay<ProcessId>,
+    inodes: Replay<InodeId>,
+    tags: Replay<Tag>,
 }
 
 impl IdCache {
     /// Rewinds the positional cursors for a fresh attempt.
     pub(crate) fn reset_cursors(&mut self) {
-        self.cur = (0, 0, 0, 0);
+        self.tasks.cursor = 0;
+        self.procs.cursor = 0;
+        self.inodes.cursor = 0;
+        self.tags.cursor = 0;
     }
+}
 
-    fn next_task(&mut self, k: &Kernel) -> TaskId {
-        let i = self.cur.0;
-        self.cur.0 += 1;
-        if i == self.tasks.len() {
-            self.tasks.push(k.next_task.fetch_add(1, Ordering::Relaxed));
-        }
-        TaskId(self.tasks[i])
+/// The ids of one kind minted by a syscall, and the replay position of
+/// the current attempt.
+struct Replay<T> {
+    minted: Vec<T>,
+    cursor: usize,
+}
+
+impl<T> Default for Replay<T> {
+    fn default() -> Self {
+        Replay { minted: Vec::new(), cursor: 0 }
     }
+}
 
-    fn next_proc(&mut self, k: &Kernel) -> ProcessId {
-        let i = self.cur.1;
-        self.cur.1 += 1;
-        if i == self.procs.len() {
-            self.procs.push(k.next_proc.fetch_add(1, Ordering::Relaxed));
+impl<T: Copy> Replay<T> {
+    /// The attempt's next id: replayed if an earlier attempt minted it,
+    /// otherwise freshly minted by `mint`.
+    fn next(&mut self, mint: impl FnOnce() -> T) -> T {
+        let i = self.cursor;
+        self.cursor += 1;
+        if i == self.minted.len() {
+            self.minted.push(mint());
         }
-        ProcessId(self.procs[i])
+        self.minted[i]
     }
+}
 
-    fn next_inode(&mut self, k: &Kernel) -> InodeId {
-        let i = self.cur.2;
-        self.cur.2 += 1;
-        if i == self.inodes.len() {
-            self.inodes.push(k.next_inode.fetch_add(1, Ordering::Relaxed));
-        }
-        InodeId(self.inodes[i])
-    }
-
-    fn next_tag(&mut self, k: &Kernel) -> Tag {
-        let i = self.cur.3;
-        self.cur.3 += 1;
-        if i == self.tags.len() {
-            self.tags.push(k.tags.fresh());
-        }
-        self.tags[i]
+/// Puts `prev` back as the entry for `key` (`None` removes it) and
+/// returns the change in the map's entry count.
+fn restore<K: Hash + Eq, V>(map: &mut HashMap<K, V>, key: K, prev: Option<V>) -> i64 {
+    match prev {
+        Some(v) => i64::from(map.insert(key, v).is_none()),
+        None => -i64::from(map.remove(&key).is_some()),
     }
 }
 
@@ -252,130 +254,57 @@ impl<'a> Txn<'a> {
         }
     }
 
-    /// Already-held shard lookup for rollback (never locks, never fails:
-    /// journalled entries always live in held shards).
-    fn held_tasks(&mut self, id: TaskId) -> Option<&mut HashMap<TaskId, TaskStruct>> {
-        let key = ShardKey::task(id);
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Tasks(g) => Some(&mut **g),
-            _ => None,
-        }
-    }
-
-    fn held_procs(
-        &mut self,
-        id: ProcessId,
-    ) -> Option<&mut HashMap<ProcessId, ProcessStruct>> {
-        let key = ShardKey::proc(id);
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Procs(g) => Some(&mut **g),
-            _ => None,
-        }
-    }
-
-    fn held_inodes(&mut self, id: InodeId) -> Option<&mut HashMap<InodeId, Inode>> {
-        let key = ShardKey::inode(id);
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Inodes(g) => Some(&mut **g),
-            _ => None,
-        }
-    }
-
-    fn held_registry(&mut self) -> Option<&mut crate::shard::Registry> {
-        let key = ShardKey::registry();
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Registry(g) => Some(&mut **g),
-            _ => None,
-        }
-    }
-
     /// Restores every journalled entry (reverse order), making the
-    /// transaction a no-op on kernel state. Only touches held shards.
+    /// transaction a no-op on kernel state.
     pub(crate) fn rollback(&mut self) {
-        let kernel = self.kernel;
         while let Some(entry) = self.journal.pop() {
-            match entry {
-                Undo::Task(id, Some(t)) => {
-                    if let Some(m) = self.held_tasks(id) {
-                        m.insert(id, t);
-                    }
-                }
-                Undo::Task(id, None) => {
-                    if let Some(m) = self.held_tasks(id) {
-                        m.remove(&id);
-                    }
-                }
-                Undo::Proc(id, Some(p)) => {
-                    if let Some(m) = self.held_procs(id) {
-                        m.insert(id, p);
-                    }
-                }
-                Undo::Proc(id, None) => {
-                    if let Some(m) = self.held_procs(id) {
-                        m.remove(&id);
-                    }
-                }
-                Undo::Inode(id, Some(i)) => {
-                    if let Some(m) = self.held_inodes(id) {
-                        if m.insert(id, i).is_none() {
-                            kernel.inode_count.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Undo::Inode(id, None) => {
-                    if let Some(m) = self.held_inodes(id) {
-                        if m.remove(&id).is_some() {
-                            kernel.inode_count.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Undo::FileRange { ino, offset, old_len, old_bytes } => {
-                    if let Some(m) = self.held_inodes(ino) {
-                        if let Some(InodeKind::File { data }) =
-                            m.get_mut(&ino).map(|i| &mut i.kind)
-                        {
-                            data.truncate(old_len);
-                            let end = (offset + old_bytes.len()).min(data.len());
-                            if offset <= end {
-                                data[offset..end]
-                                    .copy_from_slice(&old_bytes[..end - offset]);
-                            }
-                        }
-                    }
-                }
-                Undo::FdOffset(pid, fd, off) => {
-                    if let Some(m) = self.held_procs(pid) {
-                        if let Some(f) = m.get_mut(&pid).and_then(|p| p.fds.get_mut(fd)) {
-                            f.offset = off;
-                        }
-                    }
-                }
-                Undo::PersistentCaps(user, Some(c)) => {
-                    if let Some(r) = self.held_registry() {
-                        r.persistent_caps.insert(user, c);
-                    }
-                }
-                Undo::PersistentCaps(user, None) => {
-                    if let Some(r) = self.held_registry() {
-                        r.persistent_caps.remove(&user);
-                    }
-                }
-                Undo::TagsMinted(user, Some(n)) => {
-                    if let Some(r) = self.held_registry() {
-                        r.tags_minted.insert(user, n);
-                    }
-                }
-                Undo::TagsMinted(user, None) => {
-                    if let Some(r) = self.held_registry() {
-                        r.tags_minted.remove(&user);
+            // Entries are journalled only after their shard is locked, so
+            // the `*_map` lookups in `undo` find held shards: they never
+            // lock, restart or fail.
+            let _ = self.undo(entry);
+        }
+    }
+
+    fn undo(&mut self, entry: Undo) -> OsResult<()> {
+        match entry {
+            Undo::Task(id, prev) => {
+                restore(self.tasks_map(id)?, id, prev);
+            }
+            Undo::Proc(id, prev) => {
+                restore(self.procs_map(id)?, id, prev);
+            }
+            Undo::Inode(id, prev) => {
+                let delta = restore(self.inodes_map(id)?, id, prev);
+                // Atomic adds wrap, so adding a negative delta's two's
+                // complement subtracts it.
+                self.kernel.inode_count.fetch_add(delta as u64, Ordering::Relaxed);
+            }
+            Undo::FileRange { ino, offset, old_len, old_bytes } => {
+                if let Some(InodeKind::File { data }) =
+                    self.inodes_map(ino)?.get_mut(&ino).map(|i| &mut i.kind)
+                {
+                    data.truncate(old_len);
+                    let end = (offset + old_bytes.len()).min(data.len());
+                    if offset <= end {
+                        data[offset..end].copy_from_slice(&old_bytes[..end - offset]);
                     }
                 }
             }
+            Undo::FdOffset(pid, fd, off) => {
+                if let Some(f) =
+                    self.procs_map(pid)?.get_mut(&pid).and_then(|p| p.fds.get_mut(fd))
+                {
+                    f.offset = off;
+                }
+            }
+            Undo::PersistentCaps(user, prev) => {
+                restore(&mut self.registry_map()?.persistent_caps, user, prev);
+            }
+            Undo::TagsMinted(user, prev) => {
+                restore(&mut self.registry_map()?.tags_minted, user, prev);
+            }
         }
+        Ok(())
     }
 
     /// Bumps the per-attempt LSM hook count (flushed at commit); the
@@ -526,7 +455,8 @@ impl<'a> Txn<'a> {
         {
             return Err(quota_denied("inodes"));
         }
-        let id = self.ids.next_inode(self.kernel);
+        let next = &self.kernel.next_inode;
+        let id = self.ids.inodes.next(|| InodeId(next.fetch_add(1, Ordering::Relaxed)));
         // Lock (and possibly restart) *before* journalling, so rollback
         // never needs a shard the transaction does not hold.
         self.require(ShardKey::inode(id))?;
@@ -655,7 +585,8 @@ impl<'a> Txn<'a> {
 
     /// Mints a fresh tag, replay-stable across footprint restarts.
     pub(crate) fn fresh_tag(&mut self) -> Tag {
-        self.ids.next_tag(self.kernel)
+        let tags = &self.kernel.tags;
+        self.ids.tags.next(|| tags.fresh())
     }
 
     /// Spawns a fresh single-task process (journalled); used by `fork`.
@@ -666,8 +597,9 @@ impl<'a> Txn<'a> {
         cwd: InodeId,
         caps: CapSet,
     ) -> OsResult<(TaskId, ProcessId)> {
-        let tid = self.ids.next_task(self.kernel);
-        let pid = self.ids.next_proc(self.kernel);
+        let tid = self.fresh_task_id();
+        let next = &self.kernel.next_proc;
+        let pid = self.ids.procs.next(|| ProcessId(next.fetch_add(1, Ordering::Relaxed)));
         // Ascending domains: task shards rank below process shards.
         self.require(ShardKey::task(tid))?;
         self.require(ShardKey::proc(pid))?;
@@ -684,7 +616,8 @@ impl<'a> Txn<'a> {
     /// Mints a fresh task id (replay-stable); used by `spawn_thread`,
     /// which inserts the task itself.
     pub(crate) fn fresh_task_id(&mut self) -> TaskId {
-        self.ids.next_task(self.kernel)
+        let next = &self.kernel.next_task;
+        self.ids.tasks.next(|| TaskId(next.fetch_add(1, Ordering::Relaxed)))
     }
 
     /// Records a task insertion (for `spawn_thread`).

@@ -1,6 +1,7 @@
 //! File descriptors and per-process fd tables.
 
-use crate::vfs::inode::InodeId;
+use crate::vfs::inode::{InodeId, InodeKind};
+use crate::vfs::pipe::PipeBuffer;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -67,6 +68,29 @@ pub(crate) struct OpenFile {
     pub socket_end: Option<SocketEnd>,
 }
 
+impl OpenFile {
+    /// The queue that a read (`inbound`) or a write through this pipe or
+    /// socket end uses in the channel inode's `kind`; `None` for other
+    /// fds, or for a pipe end used against its direction.
+    pub(crate) fn queue<'k>(
+        &self,
+        kind: &'k mut InodeKind,
+        inbound: bool,
+    ) -> Option<&'k mut PipeBuffer> {
+        match (kind, self.pipe_end, self.socket_end) {
+            (InodeKind::Pipe { buffer }, Some(end), _)
+                if (end == PipeEnd::Read) == inbound =>
+            {
+                Some(buffer)
+            }
+            (InodeKind::Socket { ab, ba }, _, Some(end)) => {
+                Some(if (end == SocketEnd::A) == inbound { ba } else { ab })
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A process's table of open files.
 ///
 /// `Clone` exists so the syscall undo journal can snapshot a process
@@ -103,8 +127,9 @@ impl FdTable {
         FdTable { files: self.files.clone(), next: self.next }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Fd, &OpenFile)> {
-        self.files.iter()
+    /// The pipe ends open in this table, for reader/writer refcounting.
+    pub(crate) fn pipe_ends(&self) -> Vec<(InodeId, PipeEnd)> {
+        self.files.values().filter_map(|f| f.pipe_end.map(|e| (f.inode, e))).collect()
     }
 
     /// Number of open descriptors (what the per-process fd quota counts).

@@ -575,8 +575,10 @@ impl KernelReplay {
             }
         }
         for (p, fds) in self.pipes.iter().enumerate() {
-            let queued = self.tasks[0].pipe_queued_for_test(fds.0).expect("pipe bytes");
-            let msgs = self.tasks[0].pipe_msgs_for_test(fds.0).expect("pipe msgs");
+            let (queued, msgs) = self
+                .kernel
+                .inspect_pipe_for_test(self.tasks[0].id(), fds.0)
+                .expect("pipe");
             if queued != oracle.pipes[p].bytes_queued()
                 || msgs != oracle.pipes[p].msg_count()
             {

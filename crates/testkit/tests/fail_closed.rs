@@ -125,12 +125,12 @@ fn pipe_overflow_drops_silently_and_drains_to_recover() {
     let (r, w) = alice.pipe().unwrap();
 
     assert_eq!(alice.write(w, b"first!").unwrap(), 6);
-    assert_eq!(alice.pipe_queued_for_test(r).unwrap(), 6);
+    assert_eq!(k.inspect_pipe_for_test(alice.id(), r).unwrap().0, 6);
 
     // 6 + 6 > 8: the message is dropped whole, and — exactly as for a
     // label-mediated silent drop — the writer cannot observe it.
     assert_eq!(alice.write(w, b"second").unwrap(), 6);
-    assert_eq!(alice.pipe_queued_for_test(r).unwrap(), 6);
+    assert_eq!(k.inspect_pipe_for_test(alice.id(), r).unwrap().0, 6);
 
     // Draining restores capacity; delivery resumes with no residue of
     // the dropped message.

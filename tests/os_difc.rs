@@ -416,3 +416,32 @@ fn mkdir_labeled_follows_the_same_create_conditions() {
         Err(OsError::PermissionDenied(_))
     ));
 }
+
+#[test]
+fn read_of_usize_max_after_a_partial_read_returns_the_rest() {
+    let (_k, alice) = boot_alice();
+    let fd = alice.create("f").unwrap();
+    alice.write(fd, b"hello").unwrap();
+    alice.close(fd).unwrap();
+    let fd = alice.open("f", OpenMode::Read).unwrap();
+    assert_eq!(alice.read(fd, 1).unwrap(), b"h");
+    let rollbacks = laminar_os::syscalls_rolled_back();
+    assert_eq!(alice.read(fd, usize::MAX).unwrap(), b"ello");
+    assert_eq!(laminar_os::syscalls_rolled_back(), rollbacks);
+}
+
+#[test]
+fn mmap_past_the_address_space_is_rejected_and_changes_nothing() {
+    let (_k, alice) = boot_alice();
+    let first = alice.mmap(4, None).unwrap();
+    let rollbacks = laminar_os::syscalls_rolled_back();
+    assert!(matches!(
+        alice.mmap(u64::MAX - 0xFFF, None),
+        Err(OsError::InvalidArgument(_))
+    ));
+    assert_eq!(laminar_os::syscalls_rolled_back(), rollbacks);
+    // A later mapping still lands above every earlier one, and is usable.
+    let next = alice.mmap(4, None).unwrap();
+    assert!(next >= first + 4, "mapping at page {next} overlaps or precedes {first}");
+    alice.page_access(next + 3, true).unwrap();
+}

@@ -183,7 +183,7 @@ fn conflicting_syscalls_hammering_shared_objects_stay_consistent() {
     // written (writes over-count — a silent drop or a full buffer
     // still reports success to the writer, by design), and the residue
     // fits the buffer.
-    let queued = root.pipe_queued_for_test(pr).expect("queued") as u64;
+    let queued = kernel.inspect_pipe_for_test(root.id(), pr).expect("queued").0 as u64;
     assert!(queued as usize <= PIPE_CAPACITY);
     assert!(
         total.pipe_read + queued <= total.pipe_written,
