@@ -184,6 +184,8 @@ pub struct Kernel {
     pub(crate) inode_count: AtomicU64,
     /// Monotonic count of LSM hook invocations.
     pub(crate) hook_counter: AtomicU64,
+    /// Monotonic count of bytes the syscall undo journal has recorded.
+    pub(crate) journal_bytes: AtomicU64,
     /// Commit-ticket source (see [`CommitRecord`]).
     commit_seq: AtomicU64,
     commit_log_on: AtomicBool,
@@ -272,6 +274,7 @@ impl Kernel {
             next_inode: AtomicU64::new(7),
             inode_count: AtomicU64::new(0),
             hook_counter: AtomicU64::new(0),
+            journal_bytes: AtomicU64::new(0),
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
@@ -334,8 +337,8 @@ impl Kernel {
     /// otherwise).
     ///
     /// On `Ok` the transaction commits; on `Err` *or* a caught panic the
-    /// undo journal restores every mutated entry — touching only held
-    /// shards — and the caller sees a typed error, while the kernel
+    /// undo journal undoes every change, newest first — touching only
+    /// held shards — and the caller sees a typed error, while the kernel
     /// keeps serving every other task. Every non-restart exit takes a
     /// commit ticket while the shard locks are still held.
     pub(crate) fn syscall_on<T>(
@@ -387,7 +390,7 @@ impl Kernel {
             if !matches!(result, Some(Ok(_))) {
                 txn.rollback();
             }
-            txn.flush_hooks();
+            txn.flush_counters();
             let ticket = self.commit_ticket(tid);
             drop(txn);
             if result.is_none() {

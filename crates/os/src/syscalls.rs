@@ -19,9 +19,9 @@
 use crate::error::{OsError, OsResult};
 use crate::kernel::TaskHandle;
 use crate::lsm::{Access, DeliveryVerdict};
-use crate::task::{ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea};
+use crate::task::{ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId};
 use crate::txn::{quota_denied, Txn};
-use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
+use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, Queue, SocketEnd};
 use crate::vfs::inode::{InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::{
@@ -45,16 +45,7 @@ fn pipe_end_refs(
     add: bool,
 ) -> OsResult<()> {
     for (ino, end) in ends {
-        if let Some(InodeKind::Pipe { buffer }) =
-            st.inode_mut_opt(ino)?.map(|i| &mut i.kind)
-        {
-            match (end, add) {
-                (PipeEnd::Read, true) => buffer.add_reader(),
-                (PipeEnd::Write, true) => buffer.add_writer(),
-                (PipeEnd::Read, false) => buffer.drop_reader(),
-                (PipeEnd::Write, false) => buffer.drop_writer(),
-            }
-        }
+        st.pipe_ref(ino, end, add)?;
     }
     Ok(())
 }
@@ -91,7 +82,7 @@ impl TaskHandle {
             // The allocator lives outside the journal: a tag id minted by
             // an aborted transaction is simply never used (ids are opaque).
             let tag = st.fresh_tag();
-            st.task_mut(self.tid)?.security.caps_mut().grant_both(tag);
+            st.sec_mut(self.tid)?.caps_mut().grant_both(tag);
             Ok(tag)
         })
     }
@@ -159,7 +150,7 @@ impl TaskHandle {
                     }
                 }
             }
-            st.task_mut(self.tid)?.security.labels = new_pair;
+            st.sec_mut(self.tid)?.labels = new_pair;
             Ok(())
         })
     }
@@ -199,7 +190,7 @@ impl TaskHandle {
             } else {
                 SecPair::unlabeled()
             };
-            st.task_mut(target)?.security.labels = new;
+            st.sec_mut(target)?.labels = new;
             Ok(())
         })
     }
@@ -218,7 +209,7 @@ impl TaskHandle {
     pub fn set_task_labels_tcb(&self, target: TaskId, labels: SecPair) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "set_task_labels_tcb", |st| {
             self.tcb_gate(st, target)?;
-            st.task_mut(target)?.security.labels = labels.clone();
+            st.sec_mut(target)?.labels = labels.clone();
             Ok(())
         })
     }
@@ -249,9 +240,9 @@ impl TaskHandle {
     pub fn drop_capabilities(&self, caps: &[Capability]) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "drop_capabilities", |st| {
             st.task_alive(self.tid)?;
-            let t = st.task_mut(self.tid)?;
+            let sec = st.sec_mut(self.tid)?;
             for &c in caps {
-                t.security.caps_mut().revoke(c);
+                sec.caps_mut().revoke(c);
             }
             Ok(())
         })
@@ -267,8 +258,8 @@ impl TaskHandle {
     pub fn grant_capabilities_tcb(&self, target: TaskId, caps: &CapSet) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "grant_capabilities_tcb", |st| {
             self.tcb_gate(st, target)?;
-            let t = st.task_mut(target)?;
-            t.security.caps = Arc::new(t.security.caps.union(caps));
+            let sec = st.sec_mut(target)?;
+            sec.caps = Arc::new(sec.caps.union(caps));
             Ok(())
         })
     }
@@ -316,13 +307,12 @@ impl TaskHandle {
             st.count_hook();
             match self.kernel.module.cap_transfer(&sec, &pipe_labels) {
                 DeliveryVerdict::Deliver => {
-                    if let InodeKind::Pipe { buffer } =
-                        &mut st.inode_mut(file.inode)?.kind
-                    {
-                        if !buffer.push_cap(cap) {
-                            // Queue ceiling reached ⇒ silent drop.
-                            obs_drop(laminar_obs::DropChannel::Cap);
-                        }
+                    let pushed = st.queue(file.inode, Some(Queue::Pipe), |b, log| {
+                        b.push_cap(cap, log)
+                    })?;
+                    if pushed == Some(false) {
+                        // Queue ceiling reached ⇒ silent drop.
+                        obs_drop(laminar_obs::DropChannel::Cap);
                     }
                     Ok(())
                 }
@@ -351,12 +341,11 @@ impl TaskHandle {
             let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
             self.kernel.module.cap_receive(&sec, &pipe_labels)?;
-            let cap = match &mut st.inode_mut(file.inode)?.kind {
-                InodeKind::Pipe { buffer } => buffer.pop_cap(),
-                _ => None,
-            };
+            let cap = st
+                .queue(file.inode, Some(Queue::Pipe), |b, log| b.pop_cap(log))?
+                .flatten();
             if let Some(c) = cap {
-                st.task_mut(self.tid)?.security.caps_mut().grant(c);
+                st.sec_mut(self.tid)?.caps_mut().grant(c);
             }
             Ok(cap)
         })
@@ -436,9 +425,7 @@ impl TaskHandle {
                 InodeKind::File { data: Vec::new() }
             };
             let id = st.alloc_inode(kind, labels.clone())?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.insert(r.name, id);
-            }
+            st.dir_set(parent, r.name, Some(id))?;
             if dir {
                 return Ok(Fd(u32::MAX)); // sentinel, discarded by mkdir_labeled
             }
@@ -499,7 +486,7 @@ impl TaskHandle {
     pub fn close(&self, fd: Fd) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "close", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let file = st.proc_mut(pid)?.fds.remove(fd).ok_or(OsError::BadFd)?;
+            let file = st.fd_remove(pid, fd)?;
             pipe_end_refs(st, file.pipe_end.map(|end| (file.inode, end)), false)
         })
     }
@@ -526,10 +513,11 @@ impl TaskHandle {
                 Some(_) => {
                     // Pipe or socket read: nonblocking, label-mediated.
                     self.kernel.module.pipe_read(&sec, &labels)?;
-                    let inode = st.inode_mut(file.inode)?;
-                    Ok(file
-                        .queue(&mut inode.kind, true)
-                        .map_or_else(Vec::new, |q| q.pop_bytes(max)))
+                    Ok(st
+                        .queue(file.inode, file.queue(true), |b, log| {
+                            b.pop_bytes(max, log)
+                        })?
+                        .unwrap_or_default())
                 }
                 None => {
                     self.kernel.module.file_permission(&sec, &labels, Access::Read)?;
@@ -587,9 +575,11 @@ impl TaskHandle {
                     // kernel-side).
                     let delivered = self.kernel.module.pipe_write(&sec, &labels)
                         == DeliveryVerdict::Deliver
-                        && file
-                            .queue(&mut st.inode_mut(file.inode)?.kind, false)
-                            .is_none_or(|q| q.push_bytes(data));
+                        && st
+                            .queue(file.inode, file.queue(false), |b, log| {
+                                b.push_bytes(data, log)
+                            })?
+                            .unwrap_or(true);
                     if !delivered {
                         obs_drop(channel);
                     }
@@ -784,9 +774,7 @@ impl TaskHandle {
             let victim_labels = st.inode_labels(ino)?;
             st.count_hook();
             self.kernel.module.inode_unlink(&sec, &parent_labels, &victim_labels)?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.remove(&r.name);
-            }
+            st.dir_set(parent, r.name, None)?;
             st.remove_inode(ino)?;
             Ok(())
         })
@@ -822,8 +810,7 @@ impl TaskHandle {
                 return Err(OsError::NotADirectory);
             }
             let pid = st.task(self.tid)?.process;
-            st.proc_mut(pid)?.cwd = ino;
-            Ok(())
+            st.set_cwd(pid, ino)
         })
     }
 
@@ -917,10 +904,7 @@ impl TaskHandle {
                 InodeKind::Symlink { target: target.to_string() },
                 sec.labels.clone(),
             )?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.insert(r.name, id);
-            }
-            Ok(())
+            st.dir_set(parent, r.name, Some(id))
         })
     }
 
@@ -992,13 +976,8 @@ impl TaskHandle {
                 (parent.cwd, parent.fds.clone_for_fork(), parent.binary.clone());
             // Duplicated pipe ends gain reader/writer references.
             pipe_end_refs(st, fds.pipe_ends(), true)?;
-            let (tid, new_pid) = st.spawn_process(user, cwd, child_caps)?;
-            {
-                let p = st.proc_mut(new_pid)?;
-                p.fds = fds;
-                p.binary = binary;
-            }
-            st.task_mut(tid)?.security.labels = sec.labels.clone();
+            let child = TaskSec::new(sec.labels.clone(), child_caps);
+            let (tid, _) = st.spawn_process(user, child, cwd, fds, binary)?;
             Ok(tid)
         })?;
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
@@ -1034,7 +1013,7 @@ impl TaskHandle {
                 user,
                 TaskSec::new(sec.labels.clone(), thread_caps),
             ))?;
-            st.proc_mut(pid)?.tasks.push(tid);
+            st.add_thread(pid, tid)?;
             Ok(tid)
         })?;
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
@@ -1054,11 +1033,7 @@ impl TaskHandle {
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             let pid = st.task(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
-            p.vm_areas.clear();
-            p.next_mmap_page = 0x1000;
-            p.binary = r.name;
-            Ok(())
+            st.exec_reset(pid, r.name)
         })
     }
 
@@ -1074,12 +1049,10 @@ impl TaskHandle {
             // table) once its last task exits, so fork-heavy workloads do
             // not grow the kernel tables without bound.
             st.remove_task(self.tid)?;
-            let p = st.proc_mut(pid)?;
-            p.tasks.retain(|&x| x != self.tid);
-            if !p.tasks.is_empty() {
+            if !st.remove_thread(pid, self.tid)? {
                 return Ok(());
             }
-            let ends = p.fds.pipe_ends();
+            let ends = st.proc(pid)?.fds.pipe_ends();
             st.remove_process(pid)?;
             pipe_end_refs(st, ends, false)
         })
@@ -1098,11 +1071,11 @@ impl TaskHandle {
                 _ => OsError::NoSuchTask,
             })?;
             st.count_hook();
-            if self.kernel.module.task_kill(&sender, &target_sec)
+            // Dropped silently on an illegal flow or a full queue.
+            let delivered = self.kernel.module.task_kill(&sender, &target_sec)
                 == DeliveryVerdict::Deliver
-            {
-                st.task_mut(target)?.pending_signals.push_back(sig);
-            } else {
+                && st.push_signal(target, sig)?;
+            if !delivered {
                 obs_drop(laminar_obs::DropChannel::Signal);
             }
             Ok(())
@@ -1116,7 +1089,7 @@ impl TaskHandle {
     pub fn next_signal(&self) -> OsResult<Option<Signal>> {
         self.kernel.syscall_on(self.tid, "next_signal", |st| {
             st.task_alive(self.tid)?;
-            Ok(st.task_mut(self.tid)?.pending_signals.pop_front())
+            st.pop_signal(self.tid)
         })
     }
 
@@ -1160,13 +1133,7 @@ impl TaskHandle {
             };
             st.count_hook();
             self.kernel.module.file_mmap(&sec, backing_labels.as_ref())?;
-            let p = st.proc_mut(pid)?;
-            let start = p.next_mmap_page;
-            p.next_mmap_page = start
-                .checked_add(pages)
-                .ok_or(OsError::InvalidArgument("mapping overflows the address space"))?;
-            p.vm_areas.push(VmArea { start, pages, read: true, write: true });
-            Ok(start)
+            st.map_vma(pid, pages)
         })
     }
 
@@ -1177,13 +1144,7 @@ impl TaskHandle {
     pub fn munmap(&self, start: u64) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "munmap", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
-            let before = p.vm_areas.len();
-            p.vm_areas.retain(|a| a.start != start);
-            if p.vm_areas.len() == before {
-                return Err(OsError::Fault);
-            }
-            Ok(())
+            st.unmap_vma(pid, start)
         })
     }
 
@@ -1194,12 +1155,7 @@ impl TaskHandle {
     pub fn mprotect(&self, start: u64, read: bool, write: bool) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "mprotect", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
-            let area =
-                p.vm_areas.iter_mut().find(|a| a.start == start).ok_or(OsError::Fault)?;
-            area.read = read;
-            area.write = write;
-            Ok(())
+            st.protect_vma(pid, start, read, write)
         })
     }
 

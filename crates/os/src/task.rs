@@ -44,6 +44,15 @@ pub struct UserId(pub u32);
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Signal(pub i32);
 
+/// Maximum signals pending per task. Like a pipe's
+/// [`PIPE_MSG_LIMIT`](crate::PIPE_MSG_LIMIT), it bounds the kernel memory
+/// a sender can make a target hold: a signal past it is silently
+/// dropped, since the sender must not learn the target's backlog.
+pub(crate) const PENDING_SIGNAL_LIMIT: usize = 4096;
+
+/// The page where a fresh (or freshly `exec`ed) process maps first.
+pub(crate) const FIRST_MMAP_PAGE: u64 = 0x1000;
+
 /// The security context of a task: its labels plus its capability set.
 ///
 /// This is what LSM hooks receive for the "task side" of a check. The
@@ -85,10 +94,7 @@ pub struct VmArea {
 }
 
 /// Kernel-side task state.
-///
-/// `Clone` exists so the syscall undo journal ([`crate::txn`]) can
-/// snapshot an entry before the first in-transaction mutation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct TaskStruct {
     #[allow(dead_code)] // kept for parity with task_struct; shown in Debug dumps
     pub id: TaskId,
@@ -119,9 +125,7 @@ impl TaskStruct {
 }
 
 /// Kernel-side process state.
-///
-/// `Clone` exists for the syscall undo journal (see [`TaskStruct`]).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct ProcessStruct {
     #[allow(dead_code)] // kept for parity with the kernel's process table
     pub id: ProcessId,
@@ -147,7 +151,7 @@ impl ProcessStruct {
             cwd,
             trusted_vm: false,
             vm_areas: Vec::new(),
-            next_mmap_page: 0x1000,
+            next_mmap_page: FIRST_MMAP_PAGE,
             binary: String::from("init"),
         }
     }

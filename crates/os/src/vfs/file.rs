@@ -70,32 +70,45 @@ pub(crate) struct OpenFile {
 
 impl OpenFile {
     /// The queue that a read (`inbound`) or a write through this pipe or
-    /// socket end uses in the channel inode's `kind`; `None` for other
-    /// fds, or for a pipe end used against its direction.
-    pub(crate) fn queue<'k>(
-        &self,
-        kind: &'k mut InodeKind,
-        inbound: bool,
-    ) -> Option<&'k mut PipeBuffer> {
-        match (kind, self.pipe_end, self.socket_end) {
-            (InodeKind::Pipe { buffer }, Some(end), _)
-                if (end == PipeEnd::Read) == inbound =>
-            {
-                Some(buffer)
+    /// socket end uses; `None` for other fds, or for a pipe end used
+    /// against its direction.
+    pub(crate) fn queue(&self, inbound: bool) -> Option<Queue> {
+        match (self.pipe_end, self.socket_end) {
+            (Some(end), _) => ((end == PipeEnd::Read) == inbound).then_some(Queue::Pipe),
+            (None, Some(end)) => {
+                Some(if (end == SocketEnd::A) == inbound { Queue::Ba } else { Queue::Ab })
             }
-            (InodeKind::Socket { ab, ba }, _, Some(end)) => {
-                Some(if (end == SocketEnd::A) == inbound { ba } else { ab })
-            }
+            (None, None) => None,
+        }
+    }
+}
+
+/// One message queue of a channel inode: a pipe's buffer, or one
+/// direction of a socket pair.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Queue {
+    Pipe,
+    /// Written by end A, read by end B.
+    Ab,
+    /// Written by end B, read by end A.
+    Ba,
+}
+
+impl Queue {
+    /// This queue's buffer in a channel inode's `kind`; `None` if the
+    /// inode is not a channel of the matching kind.
+    pub(crate) fn of(self, kind: &mut InodeKind) -> Option<&mut PipeBuffer> {
+        match (self, kind) {
+            (Queue::Pipe, InodeKind::Pipe { buffer }) => Some(buffer),
+            (Queue::Ab, InodeKind::Socket { ab, .. }) => Some(ab),
+            (Queue::Ba, InodeKind::Socket { ba, .. }) => Some(ba),
             _ => None,
         }
     }
 }
 
 /// A process's table of open files.
-///
-/// `Clone` exists so the syscall undo journal can snapshot a process
-/// entry before mutating it.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct FdTable {
     files: BTreeMap<Fd, OpenFile>,
     next: u32,
@@ -119,6 +132,20 @@ impl FdTable {
 
     pub(crate) fn remove(&mut self, fd: Fd) -> Option<OpenFile> {
         self.files.remove(&fd)
+    }
+
+    /// Undoes the newest install of `fd` (`removed == None`: drop it and
+    /// rewind the fd counter) or the removal of `removed`.
+    pub(crate) fn restore(&mut self, fd: Fd, removed: Option<OpenFile>) {
+        match removed {
+            Some(file) => {
+                self.files.insert(fd, file);
+            }
+            None => {
+                self.files.remove(&fd);
+                self.next = fd.0;
+            }
+        }
     }
 
     /// Duplicate for fork(): the child gets copies of every open file

@@ -58,7 +58,7 @@ pub struct Xattrs {
 }
 
 /// Kernel-side inode state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Inode {
     #[allow(dead_code)] // inode number, shown in Debug dumps
     pub id: InodeId,

@@ -10,7 +10,12 @@
 //! The buffer also carries capability messages for the
 //! `write_capability` syscall (Fig. 3): capability passing is mediated by
 //! the kernel over the same labeled channel.
+//!
+//! Every mutator reports the inverse of its change to a `log` callback
+//! (a [`QueueUndo`]); the syscall transaction journals it, so undoing a
+//! read or write costs what the call moved, not the queue's depth.
 
+use crate::vfs::file::PipeEnd;
 use laminar_difc::Capability;
 use std::collections::VecDeque;
 
@@ -28,6 +33,30 @@ pub const PIPE_MSG_LIMIT: usize = 4096;
 pub(crate) enum PipeMsg {
     Bytes(Vec<u8>),
     Cap(Capability),
+}
+
+impl PipeMsg {
+    /// Bytes the message counts against the byte budget.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PipeMsg::Bytes(b) => b.len(),
+            PipeMsg::Cap(_) => 0,
+        }
+    }
+}
+
+/// The inverse of one queue change (see [`PipeBuffer::undo`]).
+#[derive(Debug)]
+pub(crate) enum QueueUndo {
+    /// A message was queued at the back: drop it.
+    Push,
+    /// A whole message was dequeued (moved here): requeue it at the head.
+    Pop(PipeMsg),
+    /// A partial read took these bytes off the head message: put them
+    /// back in front of it.
+    Split(Vec<u8>),
+    /// A reader or writer count had this value.
+    Refs(PipeEnd, u32),
 }
 
 /// The kernel-side message buffer of a pipe inode.
@@ -59,7 +88,11 @@ impl PipeBuffer {
     /// A zero-byte write is a successful no-op: it conveys nothing, so
     /// queueing an empty message would only let a writer grow the queue
     /// without ever touching the byte budget.
-    pub(crate) fn push_bytes(&mut self, data: &[u8]) -> bool {
+    pub(crate) fn push_bytes(
+        &mut self,
+        data: &[u8],
+        log: &mut dyn FnMut(QueueUndo),
+    ) -> bool {
         if data.is_empty() {
             return true;
         }
@@ -70,39 +103,46 @@ impl PipeBuffer {
         }
         self.bytes_queued += data.len();
         self.msgs.push_back(PipeMsg::Bytes(data.to_vec()));
+        log(QueueUndo::Push);
         true
     }
 
     /// Enqueues a capability message (capabilities are small; they bypass
     /// the byte budget but still drop once [`PIPE_MSG_LIMIT`] messages
     /// are queued).
-    pub(crate) fn push_cap(&mut self, cap: Capability) -> bool {
+    pub(crate) fn push_cap(
+        &mut self,
+        cap: Capability,
+        log: &mut dyn FnMut(QueueUndo),
+    ) -> bool {
         if self.msgs.len() >= PIPE_MSG_LIMIT {
             return false;
         }
         self.msgs.push_back(PipeMsg::Cap(cap));
+        log(QueueUndo::Push);
         true
     }
 
     /// Nonblocking read of at most `max` bytes. Skips over capability
     /// messages is not allowed — byte reads only consume byte messages at
     /// the head; a capability at the head yields "no data" until it is
-    /// claimed with [`Self::pop_cap`].
-    pub(crate) fn pop_bytes(&mut self, max: usize) -> Vec<u8> {
+    /// claimed with [`Self::pop_cap`]. Whole messages read are moved into
+    /// the log; a split head logs only the bytes taken from it.
+    pub(crate) fn pop_bytes(
+        &mut self,
+        max: usize,
+        log: &mut dyn FnMut(QueueUndo),
+    ) -> Vec<u8> {
         let mut out = Vec::new();
         while out.len() < max {
-            match self.msgs.front_mut() {
-                Some(PipeMsg::Bytes(b)) => {
-                    let take = (max - out.len()).min(b.len());
-                    out.extend_from_slice(&b[..take]);
-                    if take == b.len() {
-                        self.msgs.pop_front();
-                    } else {
-                        b.drain(..take);
-                    }
-                    self.bytes_queued -= take;
-                }
-                _ => break,
+            let Some(PipeMsg::Bytes(b)) = self.msgs.front_mut() else { break };
+            let take = (max - out.len()).min(b.len());
+            out.extend_from_slice(&b[..take]);
+            self.bytes_queued -= take;
+            if take < b.len() {
+                log(QueueUndo::Split(b.drain(..take).collect()));
+            } else if let Some(msg) = self.msgs.pop_front() {
+                log(QueueUndo::Pop(msg));
             }
         }
         out
@@ -110,27 +150,56 @@ impl PipeBuffer {
 
     /// Nonblocking receive of a capability message at the head of the
     /// queue, if any.
-    pub(crate) fn pop_cap(&mut self) -> Option<Capability> {
-        match self.msgs.front() {
-            Some(PipeMsg::Cap(_)) => match self.msgs.pop_front() {
-                Some(PipeMsg::Cap(c)) => Some(c),
-                _ => unreachable!(),
-            },
-            _ => None,
+    pub(crate) fn pop_cap(
+        &mut self,
+        log: &mut dyn FnMut(QueueUndo),
+    ) -> Option<Capability> {
+        let Some(&PipeMsg::Cap(cap)) = self.msgs.front() else { return None };
+        log(QueueUndo::Pop(self.msgs.pop_front()?));
+        Some(cap)
+    }
+
+    /// Adds (`fork`) or drops (`close`, `exit`) one reference to a pipe
+    /// end; the count saturates at zero.
+    pub(crate) fn count_ref(
+        &mut self,
+        end: PipeEnd,
+        add: bool,
+        log: &mut dyn FnMut(QueueUndo),
+    ) {
+        let refs = self.refs_mut(end);
+        log(QueueUndo::Refs(end, *refs));
+        *refs = if add { refs.saturating_add(1) } else { refs.saturating_sub(1) };
+    }
+
+    fn refs_mut(&mut self, end: PipeEnd) -> &mut u32 {
+        match end {
+            PipeEnd::Read => &mut self.readers,
+            PipeEnd::Write => &mut self.writers,
         }
     }
 
-    pub(crate) fn add_reader(&mut self) {
-        self.readers += 1;
-    }
-    pub(crate) fn add_writer(&mut self) {
-        self.writers += 1;
-    }
-    pub(crate) fn drop_reader(&mut self) {
-        self.readers = self.readers.saturating_sub(1);
-    }
-    pub(crate) fn drop_writer(&mut self) {
-        self.writers = self.writers.saturating_sub(1);
+    /// Applies the inverse of one logged change. Records must be undone
+    /// newest first, so the queue is as the change left it.
+    pub(crate) fn undo(&mut self, undo: QueueUndo) {
+        match undo {
+            QueueUndo::Push => {
+                if let Some(msg) = self.msgs.pop_back() {
+                    self.bytes_queued -= msg.len();
+                }
+            }
+            QueueUndo::Pop(msg) => {
+                self.bytes_queued += msg.len();
+                self.msgs.push_front(msg);
+            }
+            QueueUndo::Split(taken) => {
+                if let Some(PipeMsg::Bytes(b)) = self.msgs.front_mut() {
+                    self.bytes_queued += taken.len();
+                    b.splice(..0, taken);
+                }
+            }
+            QueueUndo::Refs(end, n) => *self.refs_mut(end) = n,
+        }
     }
 
     /// Bytes currently queued.
@@ -149,48 +218,50 @@ mod tests {
     use super::*;
     use laminar_difc::Tag;
 
+    fn nolog(_: QueueUndo) {}
+
     #[test]
     fn bytes_round_trip() {
         let mut p = PipeBuffer::new(16);
-        assert!(p.push_bytes(b"hello"));
-        assert_eq!(p.pop_bytes(3), b"hel");
-        assert_eq!(p.pop_bytes(10), b"lo");
-        assert_eq!(p.pop_bytes(10), b"");
+        assert!(p.push_bytes(b"hello", &mut nolog));
+        assert_eq!(p.pop_bytes(3, &mut nolog), b"hel");
+        assert_eq!(p.pop_bytes(10, &mut nolog), b"lo");
+        assert_eq!(p.pop_bytes(10, &mut nolog), b"");
         assert_eq!(p.queued(), 0);
     }
 
     #[test]
     fn full_buffer_drops_silently() {
         let mut p = PipeBuffer::new(4);
-        assert!(p.push_bytes(b"abcd"));
+        assert!(p.push_bytes(b"abcd", &mut nolog));
         // Over capacity: dropped, not partially written.
-        assert!(!p.push_bytes(b"e"));
-        assert_eq!(p.pop_bytes(16), b"abcd");
+        assert!(!p.push_bytes(b"e", &mut nolog));
+        assert_eq!(p.pop_bytes(16, &mut nolog), b"abcd");
     }
 
     #[test]
     fn caps_are_ordered_with_bytes() {
         let mut p = PipeBuffer::new(64);
         let c = Capability::plus(Tag::from_raw(1));
-        assert!(p.push_bytes(b"x"));
-        assert!(p.push_cap(c));
+        assert!(p.push_bytes(b"x", &mut nolog));
+        assert!(p.push_cap(c, &mut nolog));
         // Byte read stops at the capability boundary only after draining
         // preceding bytes.
-        assert_eq!(p.pop_bytes(8), b"x");
-        assert_eq!(p.pop_bytes(8), b"");
-        assert_eq!(p.pop_cap(), Some(c));
-        assert_eq!(p.pop_cap(), None);
+        assert_eq!(p.pop_bytes(8, &mut nolog), b"x");
+        assert_eq!(p.pop_bytes(8, &mut nolog), b"");
+        assert_eq!(p.pop_cap(&mut nolog), Some(c));
+        assert_eq!(p.pop_cap(&mut nolog), None);
     }
 
     #[test]
     fn cap_at_head_blocks_byte_reads() {
         let mut p = PipeBuffer::new(64);
         let c = Capability::minus(Tag::from_raw(2));
-        assert!(p.push_cap(c));
-        assert!(p.push_bytes(b"later"));
-        assert_eq!(p.pop_bytes(8), b"");
-        assert_eq!(p.pop_cap(), Some(c));
-        assert_eq!(p.pop_bytes(8), b"later");
+        assert!(p.push_cap(c, &mut nolog));
+        assert!(p.push_bytes(b"later", &mut nolog));
+        assert_eq!(p.pop_bytes(8, &mut nolog), b"");
+        assert_eq!(p.pop_cap(&mut nolog), Some(c));
+        assert_eq!(p.pop_bytes(8, &mut nolog), b"later");
     }
 
     /// Regression: zero-byte writes used to enqueue a fresh empty
@@ -200,14 +271,14 @@ mod tests {
     fn zero_byte_write_is_a_noop_success() {
         let mut p = PipeBuffer::new(4);
         for _ in 0..10_000 {
-            assert!(p.push_bytes(b""), "zero-byte write must report success");
+            assert!(p.push_bytes(b"", &mut nolog), "zero-byte write must report success");
         }
         assert_eq!(p.msg_count(), 0, "zero-byte writes must not queue messages");
         assert_eq!(p.queued(), 0);
         // Even on a full buffer a zero-byte write succeeds (no drop).
-        assert!(p.push_bytes(b"abcd"));
-        assert!(p.push_bytes(b""));
-        assert_eq!(p.pop_bytes(8), b"abcd");
+        assert!(p.push_bytes(b"abcd", &mut nolog));
+        assert!(p.push_bytes(b"", &mut nolog));
+        assert_eq!(p.pop_bytes(8, &mut nolog), b"abcd");
     }
 
     /// Regression: the message-count ceiling applies to byte messages
@@ -217,9 +288,9 @@ mod tests {
     fn byte_messages_respect_the_message_limit() {
         let mut p = PipeBuffer::new(PIPE_CAPACITY);
         for _ in 0..PIPE_MSG_LIMIT {
-            assert!(p.push_bytes(b"x"));
+            assert!(p.push_bytes(b"x", &mut nolog));
         }
-        assert!(!p.push_bytes(b"x"), "message {PIPE_MSG_LIMIT} must drop");
+        assert!(!p.push_bytes(b"x", &mut nolog), "message {PIPE_MSG_LIMIT} must drop");
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
     }
 
@@ -230,21 +301,47 @@ mod tests {
         let mut p = PipeBuffer::new(8);
         let c = Capability::plus(Tag::from_raw(3));
         for i in 0..PIPE_MSG_LIMIT {
-            assert!(p.push_cap(c), "cap {i} should fit");
+            assert!(p.push_cap(c, &mut nolog), "cap {i} should fit");
         }
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
-        assert!(!p.push_cap(c), "cap {PIPE_MSG_LIMIT} must drop, not be admitted");
+        assert!(
+            !p.push_cap(c, &mut nolog),
+            "cap {PIPE_MSG_LIMIT} must drop, not be admitted"
+        );
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
     }
 
     #[test]
     fn reader_writer_counts() {
         let mut p = PipeBuffer::new(8);
-        p.add_reader();
-        p.add_writer();
-        p.drop_reader();
-        p.drop_reader();
-        p.drop_reader(); // saturates at zero
-        p.drop_writer();
+        p.count_ref(PipeEnd::Read, true, &mut nolog);
+        for _ in 0..3 {
+            p.count_ref(PipeEnd::Read, false, &mut nolog);
+        }
+        assert_eq!(p.readers, 0);
+        p.count_ref(PipeEnd::Write, false, &mut nolog);
+        assert_eq!(p.writers, 0);
+    }
+
+    /// Undoing the logged records newest first restores the queue
+    /// exactly, including a read that split the head message.
+    #[test]
+    fn undo_restores_every_change_exactly() {
+        let c = Capability::plus(Tag::from_raw(4));
+        let mut p = PipeBuffer::new(64);
+        assert!(p.push_bytes(b"abc", &mut nolog));
+        assert!(p.push_bytes(b"defg", &mut nolog));
+        let mut log = Vec::new();
+        assert!(p.push_cap(c, &mut |u| log.push(u)));
+        assert_eq!(p.pop_bytes(5, &mut |u| log.push(u)), b"abcde");
+        p.count_ref(PipeEnd::Write, true, &mut |u| log.push(u));
+        assert_eq!(log.len(), 4, "push, pop, split, refs");
+        while let Some(u) = log.pop() {
+            p.undo(u);
+        }
+        // The logged cap push is undone too.
+        assert_eq!((p.queued(), p.msg_count(), p.writers), (7, 2, 1));
+        assert_eq!(p.pop_bytes(64, &mut nolog), b"abcdefg");
+        assert_eq!(p.pop_cap(&mut nolog), None);
     }
 }

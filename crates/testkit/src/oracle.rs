@@ -29,6 +29,9 @@ const PIPE_CAPACITY: usize = 64 * 1024;
 /// (mirrors the kernel's `PIPE_MSG_LIMIT`): the 4096th message is the
 /// last admitted, the 4097th is silently dropped.
 const PIPE_MSG_LIMIT: usize = 4096;
+/// Pending signals per task (mirrors the kernel's
+/// `PENDING_SIGNAL_LIMIT`): a signal past it is silently dropped.
+const PENDING_SIGNAL_LIMIT: usize = 4096;
 /// Fixed read size for [`Op::ReadFile`].
 const READ_CHUNK: usize = 64;
 
@@ -713,11 +716,14 @@ impl Oracle {
             }
             Op::Kill { task, target, sig } => {
                 let (from, to) = (task as usize % nt, target as usize % nt);
-                if self.tasks[from].labels.flows_to(&self.tasks[to].labels) {
+                if self.tasks[from].labels.flows_to(&self.tasks[to].labels)
+                    && self.tasks[to].signals.len() < PENDING_SIGNAL_LIMIT
+                {
                     self.tasks[to].signals.push_back(sig);
                 } else {
-                    // Silently dropped — the sender cannot tell, only
-                    // the trusted audit log records it.
+                    // Silently dropped (illegal flow or full queue) — the
+                    // sender cannot tell, only the trusted audit log
+                    // records it.
                     self.predicted_drop = Some(MDrop::Signal);
                 }
                 Outcome::Ok
@@ -876,5 +882,19 @@ mod tests {
         assert!(!p.push_cap(1, true));
         assert!(!p.push_bytes(b"x"));
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
+    }
+
+    #[test]
+    fn kill_mirrors_the_pending_signal_ceiling() {
+        let mut o = Oracle::new();
+        let kill = Op::Kill { task: 0, target: 0, sig: 7 };
+        for _ in 0..PENDING_SIGNAL_LIMIT {
+            assert_eq!(o.apply(&kill, 0), Outcome::Ok);
+            assert_eq!(o.predicted_drop, None);
+        }
+        // The next signal is dropped silently: still `Ok`, but audited.
+        assert_eq!(o.apply(&kill, 0), Outcome::Ok);
+        assert_eq!(o.predicted_drop, Some(MDrop::Signal));
+        assert_eq!(o.tasks[0].signals.len(), PENDING_SIGNAL_LIMIT);
     }
 }

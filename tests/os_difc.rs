@@ -3,7 +3,9 @@
 //! signals, capability transfer, persistence).
 
 use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair};
-use laminar_os::{Kernel, LaminarModule, NullModule, OpenMode, OsError, Signal, UserId};
+use laminar_os::{
+    Fd, Kernel, LaminarModule, NullModule, OpenMode, OsError, Quotas, Signal, UserId,
+};
 
 fn boot_alice() -> (std::sync::Arc<Kernel>, laminar_os::TaskHandle) {
     let k = Kernel::boot(LaminarModule);
@@ -444,4 +446,82 @@ fn mmap_past_the_address_space_is_rejected_and_changes_nothing() {
     let next = alice.mmap(4, None).unwrap();
     assert!(next >= first + 4, "mapping at page {next} overlaps or precedes {first}");
     alice.page_access(next + 3, true).unwrap();
+}
+
+/// Regression: `kill` queued signals without bound, so any sender whose
+/// labels flow to a target could grow the target's kernel memory at
+/// will. Past the per-task limit a signal is dropped silently (audited
+/// kernel-side), exactly like a message to a full pipe.
+#[test]
+fn pending_signals_are_bounded_and_the_excess_drops_silently() {
+    /// The kernel's per-task pending-signal limit.
+    const PENDING_SIGNAL_LIMIT: usize = 4096;
+    let (_k, alice) = boot_alice();
+    let sender = alice.fork(None).unwrap();
+    for i in 0..PENDING_SIGNAL_LIMIT + 1000 {
+        assert!(
+            sender.kill(alice.id(), Signal(i as i32)).is_ok(),
+            "kill {i} must succeed"
+        );
+    }
+    let mut drained = 0;
+    while let Some(sig) = alice.next_signal().unwrap() {
+        assert_eq!(sig, Signal(drained as i32), "the oldest signals are kept, in order");
+        drained += 1;
+    }
+    assert_eq!(drained, PENDING_SIGNAL_LIMIT);
+}
+
+/// A call that fails on the fd quota after it already linked a name,
+/// allocated an inode or installed an fd must undo exactly those
+/// changes, however large the directory and fd table around them.
+#[test]
+fn quota_failures_roll_back_cleanly_on_large_state() {
+    const ENTRIES: usize = 4096;
+    const MAX_FDS: usize = 64;
+    let quotas = Quotas { max_fds_per_process: MAX_FDS, ..Quotas::default() };
+    let k = Kernel::boot_with_quotas(LaminarModule, quotas);
+    k.add_user(UserId(1), "alice");
+    let alice = k.login(UserId(1)).unwrap();
+    let a = alice.alloc_tag().unwrap();
+    alice
+        .mkdir_labeled("/tmp/vault", SecPair::secrecy_only(Label::singleton(a)))
+        .unwrap();
+    alice.set_task_label(LabelType::Secrecy, Label::singleton(a)).unwrap();
+    alice.chdir("/tmp/vault").unwrap();
+    for i in 0..ENTRIES {
+        alice.close(alice.create(&format!("e{i:05}")).unwrap()).unwrap();
+    }
+    let mut held: Vec<Fd> =
+        (0..MAX_FDS).map(|_| alice.open("e00000", OpenMode::Read).unwrap()).collect();
+    let listing = alice.readdir(".").unwrap();
+    let dir = format!("{:?}", alice.stat(".").unwrap());
+
+    // `create` links the name and allocates the inode before its fd
+    // install hits the quota: both must be undone.
+    assert!(matches!(
+        alice.create("new"),
+        Err(OsError::QuotaExceeded("file descriptors"))
+    ));
+    assert!(matches!(alice.stat("new"), Err(OsError::NotFound)));
+    assert_eq!(alice.readdir(".").unwrap(), listing);
+    assert_eq!(format!("{:?}", alice.stat(".").unwrap()), dir);
+
+    // With one fd free, `pipe` installs its read end and fails on the
+    // write end: the install is undone, and so is the fd counter.
+    let last = *held.last().unwrap();
+    alice.close(held.pop().unwrap()).unwrap();
+    assert!(matches!(alice.pipe(), Err(OsError::QuotaExceeded("file descriptors"))));
+    let fd = alice.open("e00001", OpenMode::Read).unwrap();
+    assert_eq!(fd, Fd(last.0 + 1), "the failed pipe must not consume fd numbers");
+
+    // Freed descriptors make the same calls succeed.
+    alice.close(fd).unwrap();
+    alice.close(held.pop().unwrap()).unwrap();
+    let (r, w) = alice.pipe().unwrap();
+    alice.close(r).unwrap();
+    alice.close(w).unwrap();
+    alice.close(held.pop().unwrap()).unwrap();
+    alice.close(alice.create("new").unwrap()).unwrap();
+    assert_eq!(alice.readdir(".").unwrap().len(), ENTRIES + 1);
 }
