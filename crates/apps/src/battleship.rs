@@ -12,8 +12,9 @@
 //! The two players run in separate kernel processes (forked, inheriting
 //! the pipe fds), exercising the OS half of Laminar as well.
 
-use crate::workload::AppStats;
-use laminar::{Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams};
+use laminar::{
+    Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams, RuntimeStats,
+};
 use laminar_difc::{Capability, Label, SecPair, Tag};
 use laminar_os::{Fd, UserId};
 use laminar_util::SplitMix64;
@@ -329,10 +330,10 @@ impl Battleship {
 
     /// Aggregated statistics from both players.
     #[must_use]
-    pub fn stats(&self) -> AppStats {
+    pub fn stats(&self) -> RuntimeStats {
         let mut s = self.players[0].principal.stats();
         s.merge(&self.players[1].principal.stats());
-        AppStats::from_runtime("Battleship", &s)
+        s
     }
 
     /// Resets both players' statistics.

@@ -15,8 +15,9 @@
 //!
 //! This port implements a representative 12 of FreeCS's 47 commands.
 
-use crate::workload::AppStats;
-use laminar::{Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams};
+use laminar::{
+    Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams, RuntimeStats,
+};
 use laminar_difc::{Capability, Label, SecPair, Tag};
 use laminar_os::UserId;
 use laminar_util::sync::Mutex;
@@ -527,12 +528,12 @@ impl ChatServer {
 
     /// Aggregated statistics across the server and every user principal.
     #[must_use]
-    pub fn stats(&self) -> AppStats {
+    pub fn stats(&self) -> RuntimeStats {
         let mut s = self.server.stats();
         for u in self.users.lock().values() {
             s.merge(&u.principal.stats());
         }
-        AppStats::from_runtime("FreeCS", &s)
+        s
     }
 
     /// Resets all statistics.

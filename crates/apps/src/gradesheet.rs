@@ -18,8 +18,9 @@
 //! original policy (only the professor may declassify an average, since
 //! it derives from every student's secret).
 
-use crate::workload::AppStats;
-use laminar::{Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams};
+use laminar::{
+    Labeled, Laminar, LaminarError, LaminarResult, Principal, RegionParams, RuntimeStats,
+};
 use laminar_difc::{CapSet, Capability, Label, SecPair, Tag};
 use laminar_os::UserId;
 use std::sync::Arc;
@@ -310,12 +311,12 @@ impl GradeSheet {
 
     /// Aggregated runtime statistics across every principal.
     #[must_use]
-    pub fn stats(&self) -> AppStats {
+    pub fn stats(&self) -> RuntimeStats {
         let mut stats = self.professor.stats();
         for p in self.tas.iter().chain(&self.student_threads) {
             stats.merge(&p.stats());
         }
-        AppStats::from_runtime("GradeSheet", &stats)
+        stats
     }
 
     /// Resets every principal's statistics.

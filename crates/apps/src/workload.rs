@@ -1,6 +1,4 @@
-//! Shared reporting types for the case-study applications.
-
-use laminar::RuntimeStats;
+//! Shared request work for the case-study applications.
 
 /// Simulates the application work surrounding one request — parsing the
 /// command line, rendering the response, logging — which both the
@@ -28,75 +26,4 @@ pub fn request_work(parts: &[&str], units: u32) -> u64 {
         }
     }
     std::hint::black_box(acc)
-}
-
-/// Aggregated per-application statistics, the raw material for Table 3
-/// ("% time in SRs") and the Figure 9 overhead decomposition.
-#[derive(Clone, Debug, Default)]
-pub struct AppStats {
-    /// Application name.
-    pub name: String,
-    /// Security regions entered.
-    pub regions_entered: u64,
-    /// Nanoseconds spent inside security regions.
-    pub region_ns: u64,
-    /// Labeled reads (static + dynamic APIs).
-    pub labeled_reads: u64,
-    /// Labeled writes.
-    pub labeled_writes: u64,
-    /// Labeled allocations.
-    pub labeled_allocs: u64,
-    /// `copy_and_label` declassifications/endorsements.
-    pub copies: u64,
-    /// Dynamic-barrier context lookups.
-    pub dynamic_dispatches: u64,
-    /// Exceptions confined to regions.
-    pub exceptions_suppressed: u64,
-    /// VM→OS label syncs performed.
-    pub os_syncs: u64,
-    /// VM→OS label syncs elided by the lazy optimization.
-    pub os_syncs_elided: u64,
-}
-
-impl AppStats {
-    /// Converts the runtime counter struct.
-    #[must_use]
-    pub fn from_runtime(name: &str, s: &RuntimeStats) -> Self {
-        AppStats {
-            name: name.to_string(),
-            regions_entered: s.regions_entered,
-            region_ns: s.region_ns,
-            labeled_reads: s.labeled_reads,
-            labeled_writes: s.labeled_writes,
-            labeled_allocs: s.labeled_allocs,
-            copies: s.copies,
-            dynamic_dispatches: s.dynamic_dispatches,
-            exceptions_suppressed: s.exceptions_suppressed,
-            os_syncs: s.os_syncs,
-            os_syncs_elided: s.os_syncs_elided,
-        }
-    }
-
-    /// Fraction of `total_ns` spent inside security regions (Table 3's
-    /// "% time in SRs").
-    #[must_use]
-    pub fn pct_in_regions(&self, total_ns: u64) -> f64 {
-        if total_ns == 0 {
-            0.0
-        } else {
-            100.0 * self.region_ns as f64 / total_ns as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pct_in_regions_handles_zero() {
-        let s = AppStats { region_ns: 50, ..Default::default() };
-        assert_eq!(s.pct_in_regions(0), 0.0);
-        assert!((s.pct_in_regions(200) - 25.0).abs() < 1e-9);
-    }
 }

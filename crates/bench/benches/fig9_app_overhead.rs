@@ -108,7 +108,7 @@ struct AppRow {
     paper: &'static str,
 }
 
-fn breakdown(stats: &laminar_apps::AppStats, u: &UnitCosts) -> (f64, f64, f64, f64) {
+fn breakdown(stats: &laminar::RuntimeStats, u: &UnitCosts) -> (f64, f64, f64, f64) {
     let static_accesses = stats.labeled_reads + stats.labeled_writes
         - stats.dynamic_dispatches.min(stats.labeled_reads + stats.labeled_writes);
     (

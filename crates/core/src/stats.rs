@@ -2,59 +2,27 @@
 //!
 //! Table 3 reports the fraction of execution time spent inside security
 //! regions; Figure 9 decomposes application overhead into region
-//! start/end, allocation barriers and read/write barriers. These
-//! counters (and the region timer) are what the benchmark harness reads.
+//! start/end, allocation barriers and read/write barriers. Each
+//! [`crate::Principal`] keeps its own [`RuntimeStats`]; the case-study
+//! applications merge their principals' counters into one
+//! `RuntimeStats`, which is what the benchmark harness reads.
+//!
+//! Fault counters live with the object whose events they count: each
+//! kernel counts its shard-lock poison recoveries
+//! ([`laminar_os::Kernel::poison_recoveries`]) and each VM its region
+//! aborts ([`laminar_vm::VmStats::regions_aborted`]); syscall rollbacks
+//! are counted process-wide ([`laminar_os::syscalls_rolled_back`]).
+//! Callers read them as before/after deltas.
 //!
 //! The global label-interning and flow-check-cache counters of
 //! `laminar_difc` are re-exported here ([`flow_cache_stats`],
 //! [`intern_stats`], [`reset_flow_cache`]) so harnesses that only link
-//! `laminar` can observe hot-path hit rates.
+//! `laminar` can observe hot-path hit rates. They are process-global by
+//! design: one memoized verdict serves every kernel and VM.
 
 pub use laminar_difc::{
     flow_cache_stats, intern_stats, reset_flow_cache, FlowCacheStats, InternStats,
 };
-
-/// Snapshot of the process-global fail-closed fault counters across all
-/// three layers: lock-poison recoveries in the utility layer, syscall
-/// rollbacks at the kernel dispatch boundary, and security-region aborts
-/// in the VM. Together they answer "did anything fault, and was every
-/// fault contained?" after a stress or fault-injection run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Mutex poison events recovered by `laminar_util::sync`.
-    pub poison_recoveries: u64,
-    /// Kernel syscalls rolled back after an internal fault
-    /// ([`laminar_os::syscalls_rolled_back`]).
-    pub syscalls_rolled_back: u64,
-    /// VM security regions whose labeled writes were rolled back
-    /// ([`laminar_vm::regions_aborted`]).
-    pub regions_aborted: u64,
-}
-
-impl FaultStats {
-    /// Total contained faults across all layers.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.poison_recoveries + self.syscalls_rolled_back + self.regions_aborted
-    }
-}
-
-/// Reads the current global fault counters of every layer.
-#[must_use]
-pub fn fault_stats() -> FaultStats {
-    FaultStats {
-        poison_recoveries: laminar_util::sync::poison_recoveries(),
-        syscalls_rolled_back: laminar_os::syscalls_rolled_back(),
-        regions_aborted: laminar_vm::regions_aborted(),
-    }
-}
-
-/// Resets every layer's global fault counter to zero.
-pub fn reset_fault_stats() {
-    laminar_util::sync::reset_poison_recoveries();
-    laminar_os::reset_syscalls_rolled_back();
-    laminar_vm::reset_regions_aborted();
-}
 
 /// Counters accumulated by a [`crate::Principal`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -105,6 +73,17 @@ impl RuntimeStats {
     pub fn total_accesses(&self) -> u64 {
         self.labeled_reads + self.labeled_writes
     }
+
+    /// Percentage of `total_ns` spent inside security regions (Table 3's
+    /// "% time in SRs").
+    #[must_use]
+    pub fn pct_in_regions(&self, total_ns: u64) -> f64 {
+        if total_ns == 0 {
+            0.0
+        } else {
+            100.0 * self.region_ns as f64 / total_ns as f64
+        }
+    }
 }
 
 #[cfg(test)]
@@ -122,5 +101,12 @@ mod tests {
         assert_eq!(a.labeled_writes, 1);
         assert_eq!(a.region_ns, 10);
         assert_eq!(a.total_accesses(), 6);
+    }
+
+    #[test]
+    fn pct_in_regions_handles_zero() {
+        let s = RuntimeStats { region_ns: 50, ..Default::default() };
+        assert_eq!(s.pct_in_regions(0), 0.0);
+        assert!((s.pct_in_regions(200) - 25.0).abs() < 1e-9);
     }
 }

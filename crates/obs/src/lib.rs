@@ -48,7 +48,7 @@
 //! a per-thread batch and reach the shared (mutex-protected, bounded)
 //! ring in blocks — one lock acquisition and one global sequence-block
 //! allocation per [`FLUSH_BATCH`]-sized batch, never per record. Clock
-//! reads are sampled (one dispatch in [`DEFAULT_LATENCY_SAMPLE_EVERY`]
+//! reads are sampled (one dispatch in [`LATENCY_SAMPLE_EVERY`]
 //! feeds the log2 latency histograms; the rest record no latency), and
 //! the layers emit *decisions*, not checks: the difc memo path records a
 //! verdict only when it is actually computed (a cache hit replays an
@@ -68,7 +68,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -200,7 +200,7 @@ pub enum Event {
         ticket: u64,
         /// Wall-clock latency of the whole dispatch, in nanoseconds —
         /// `None` when this dispatch was not latency-sampled (see
-        /// [`set_latency_sample_every`]).
+        /// [`LATENCY_SAMPLE_EVERY`]).
         latency_ns: Option<u64>,
         /// `Some(reason)` when the outcome was a typed denial.
         denied: Option<&'static str>,
@@ -271,12 +271,13 @@ impl LatencyHist {
     }
 }
 
-/// Default per-thread ring capacity, in records.
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
+/// Per-thread ring capacity, in records; past it the oldest records go.
+pub const RING_CAPACITY: usize = 8192;
 
-/// Default latency sampling period: one dispatch in this many per thread
-/// carries a clock read and joins the histograms.
-pub const DEFAULT_LATENCY_SAMPLE_EVERY: u32 = 64;
+/// Latency sampling period: one syscall dispatch in this many per thread
+/// reads the clock and feeds the per-syscall histograms; the rest record
+/// `latency_ns: None`, which keeps clock reads off the common path.
+pub const LATENCY_SAMPLE_EVERY: u32 = 64;
 
 /// Records accumulated thread-locally before one batched push into the
 /// shared ring (one lock acquisition and one global sequence-block
@@ -285,8 +286,6 @@ pub const FLUSH_BATCH: usize = 256;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-static LATENCY_EVERY: AtomicU32 = AtomicU32::new(DEFAULT_LATENCY_SAMPLE_EVERY);
 
 /// One thread's bounded event ring plus its latency histograms. Shared
 /// (behind a mutex) between the owning thread's flushes and cross-thread
@@ -311,8 +310,7 @@ impl Ring {
         self.buf.extend(
             events.enumerate().map(|(i, event)| Record { seq: first + i as u64, event }),
         );
-        let cap = RING_CAPACITY.load(Ordering::Relaxed).max(1);
-        while self.buf.len() > cap {
+        while self.buf.len() > RING_CAPACITY {
             self.buf.pop_front();
             self.truncated += 1;
         }
@@ -397,21 +395,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Overrides the per-thread ring capacity (records). Intended for tests
-/// exercising wraparound; takes effect on subsequent flushes.
-pub fn set_ring_capacity(cap: usize) {
-    RING_CAPACITY.store(cap.max(1), Ordering::SeqCst);
-}
-
-/// Sets the latency sampling period: one syscall dispatch in `every` (per
-/// thread) reads the clock and feeds the per-syscall histograms; the
-/// rest record `latency_ns: None`. `1` samples every dispatch (tests);
-/// the default ([`DEFAULT_LATENCY_SAMPLE_EVERY`]) keeps clock reads off
-/// the common path.
-pub fn set_latency_sample_every(every: u32) {
-    LATENCY_EVERY.store(every.max(1), Ordering::SeqCst);
-}
-
 /// Records one event. No-op when tracing is disabled. Inside a syscall
 /// dispatch the event is staged (and reaches the ring only if the
 /// attempt is final — see the module docs); outside, it joins the
@@ -469,8 +452,7 @@ pub fn syscall_begin(name: &'static str) -> Option<SyscallSpan> {
     let sampled = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         l.depth += 1;
-        let every = LATENCY_EVERY.load(Ordering::Relaxed).max(1);
-        let sampled = l.tick % every == 0;
+        let sampled = l.tick % LATENCY_SAMPLE_EVERY == 0;
         l.tick = l.tick.wrapping_add(1);
         sampled
     });
@@ -716,8 +698,8 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    /// Tests share process-global state (the enabled flag and ring
-    /// capacity), so they serialize on one mutex.
+    /// Tests share process-global state (the enabled flag and the ring
+    /// registry), so they serialize on one mutex.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -744,19 +726,26 @@ mod tests {
         set_enabled(true);
         reset();
         let _ = take_local();
-        set_ring_capacity(4);
-        for _ in 0..10 {
-            emit(drop_event());
+        let total = RING_CAPACITY as u64 + 6;
+        for ticket in 0..total {
+            emit(Event::SyscallCommit {
+                name: "w",
+                ticket,
+                latency_ns: None,
+                denied: None,
+            });
         }
         let log = snapshot();
-        assert_eq!(log.truncated, 6, "10 pushes into a 4-slot ring drop 6");
-        let local = take_local();
-        assert_eq!(local.len(), 4, "ring holds the newest 4");
-        // The survivors are the *latest* records, in order.
-        for w in local.windows(2) {
-            assert!(w[0].seq < w[1].seq);
-        }
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
+        assert_eq!(log.truncated, 6, "6 pushes past capacity drop the 6 oldest");
+        // The survivors are the *newest* records, in order.
+        let tickets: Vec<u64> = take_local()
+            .iter()
+            .map(|r| match r.event {
+                Event::SyscallCommit { ticket, .. } => ticket,
+                _ => u64::MAX,
+            })
+            .collect();
+        assert!(tickets.into_iter().eq(6..total));
         set_enabled(false);
     }
 
@@ -843,41 +832,32 @@ mod tests {
     }
 
     #[test]
-    fn latency_sampling_period_controls_clock_reads() {
+    fn one_dispatch_per_period_is_latency_sampled() {
         let _g = serial();
         set_enabled(true);
         reset();
-        let _ = take_local();
-        // Period 1: every dispatch carries a latency and feeds the hist.
-        // (Each span stages a drop so its commit is decision-bearing and
-        // actually recorded.)
-        set_latency_sample_every(1);
-        for i in 0..4 {
-            let span = syscall_begin("seek").expect("enabled");
-            emit(drop_event());
-            span.commit(i, None);
-        }
-        let sampled = take_local()
+        // A fresh thread starts its sampling tick at zero. Each span
+        // stages a drop so its commit is decision-bearing and recorded.
+        let recs = std::thread::spawn(|| {
+            for i in 0..2 * u64::from(LATENCY_SAMPLE_EVERY) {
+                let span = syscall_begin("seek").expect("enabled");
+                emit(drop_event());
+                span.commit(i, None);
+            }
+            take_local()
+        })
+        .join()
+        .expect("worker");
+        let commits: Vec<Option<u64>> = recs
             .iter()
-            .filter(|r| {
-                matches!(r.event, Event::SyscallCommit { latency_ns: Some(_), .. })
+            .filter_map(|r| match r.event {
+                Event::SyscallCommit { latency_ns, .. } => Some(latency_ns),
+                _ => None,
             })
-            .count();
-        assert_eq!(sampled, 4);
-        // A long period leaves later dispatches unsampled (the first
-        // tick of a fresh period boundary may sample; none after).
-        set_latency_sample_every(u32::MAX);
-        for i in 0..4 {
-            let span = syscall_begin("seek").expect("enabled");
-            emit(drop_event());
-            span.commit(i, None);
-        }
-        let unsampled = take_local()
-            .iter()
-            .filter(|r| matches!(r.event, Event::SyscallCommit { latency_ns: None, .. }))
-            .count();
-        assert!(unsampled >= 3, "period u32::MAX must skip the clock");
-        set_latency_sample_every(DEFAULT_LATENCY_SAMPLE_EVERY);
+            .collect();
+        assert_eq!(commits.len(), 2 * LATENCY_SAMPLE_EVERY as usize);
+        assert_eq!(commits.iter().filter(|l| l.is_some()).count(), 2);
+        assert_eq!(snapshot().histograms.get("seek").map(LatencyHist::count), Some(2));
         set_enabled(false);
     }
 
@@ -886,23 +866,25 @@ mod tests {
         let _g = serial();
         set_enabled(true);
         reset();
-        let _ = take_local();
-        set_latency_sample_every(1);
-        // No staged events, no denial: nothing lands in the ring…
-        let span = syscall_begin("read").expect("enabled");
-        span.commit(1, None);
-        assert!(take_local().is_empty());
-        // …but the sampled latency still feeds the histogram…
-        assert!(snapshot().histograms.get("read").is_some_and(|h| h.count() >= 1));
-        // …and a denied commit with no staged events is still recorded.
-        let span = syscall_begin("read").expect("enabled");
-        span.commit(2, Some("flow"));
-        let recs = take_local();
-        assert!(matches!(
-            recs.last().map(|r| r.event),
-            Some(Event::SyscallCommit { denied: Some("flow"), .. })
-        ));
-        set_latency_sample_every(DEFAULT_LATENCY_SAMPLE_EVERY);
+        // A fresh thread's first dispatch is latency-sampled.
+        std::thread::spawn(|| {
+            // No staged events, no denial: nothing lands in the ring…
+            let span = syscall_begin("read").expect("enabled");
+            span.commit(1, None);
+            assert!(take_local().is_empty());
+            // …but the sampled latency still feeds the histogram…
+            assert!(snapshot().histograms.get("read").is_some_and(|h| h.count() >= 1));
+            // …and a denied commit with no staged events is still recorded.
+            let span = syscall_begin("read").expect("enabled");
+            span.commit(2, Some("flow"));
+            let recs = take_local();
+            assert!(matches!(
+                recs.last().map(|r| r.event),
+                Some(Event::SyscallCommit { denied: Some("flow"), .. })
+            ));
+        })
+        .join()
+        .expect("worker");
         set_enabled(false);
     }
 

@@ -425,22 +425,6 @@ impl Kernel {
         seq
     }
 
-    /// Snapshots the trusted audit log (all threads' rings, merged in
-    /// event order). **Trusted API**: this lives on [`Kernel`], not
-    /// [`TaskHandle`](crate::TaskHandle) — no syscall exposes audit
-    /// data, because a subject that could see its own silent drops would
-    /// have exactly the covert channel §5.2 closes.
-    #[must_use]
-    pub fn audit_snapshot(&self) -> laminar_obs::AuditLog {
-        laminar_obs::snapshot()
-    }
-
-    /// Enables or disables the decision trace process-wide (disabled by
-    /// default; disabled emit points cost one atomic load).
-    pub fn set_audit_enabled(&self, on: bool) {
-        laminar_obs::set_enabled(on);
-    }
-
     /// Enables (clearing any previous contents) or disables the
     /// commit-order log consumed by the concurrent conformance regime.
     pub fn set_commit_log_enabled(&self, on: bool) {
@@ -545,6 +529,14 @@ impl Kernel {
     #[must_use]
     pub fn hook_calls(&self) -> u64 {
         self.hook_counter.load(Ordering::Relaxed)
+    }
+
+    /// Number of times this kernel found one of its shard mutexes
+    /// poisoned (a syscall panicked while holding it) and recovered it.
+    /// Monotonic; read it before and after a run and take the difference.
+    #[must_use]
+    pub fn poison_recoveries(&self) -> u64 {
+        self.tables.poison_recoveries()
     }
 
     /// Inserts a fully formed inode outside any transaction (boot and
@@ -755,11 +747,11 @@ impl Kernel {
     }
 
     /// Fault injection for the conformance testkit: poisons the mutex of
-    /// the shard with the given flat ordinal (`0..KERNEL_SHARDS`,
+    /// the shard with the given flat ordinal (`0..SHARD_COUNT`,
     /// wrapping), so the next syscall touching that shard takes the
-    /// poison-recovery path of [`laminar_util::sync::Mutex`]. Verdicts
-    /// must be unaffected, and *other* shards keep serving syscalls
-    /// without recovering anything.
+    /// poison-recovery path counted by [`Kernel::poison_recoveries`].
+    /// Verdicts must be unaffected, and *other* shards keep serving
+    /// syscalls without recovering anything.
     #[cfg(feature = "fault-injection")]
     pub fn poison_shard_for_test(self: &Arc<Self>, ordinal: usize) {
         self.tables.poison(ShardKey::from_ordinal(ordinal));

@@ -27,9 +27,10 @@
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskStruct, UserId};
 use crate::vfs::inode::{Inode, InodeId};
 use laminar_difc::CapSet;
-use laminar_util::sync::{lock_order, Mutex};
+use laminar_util::sync::lock_order;
 use std::collections::HashMap;
-use std::sync::MutexGuard;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of task-table shards.
 pub const TASK_SHARDS: usize = 8;
@@ -99,6 +100,11 @@ impl ShardKey {
     pub fn rank(self) -> u32 {
         u32::from(self.0)
     }
+
+    /// The shard's index within its domain's array.
+    fn index(self) -> usize {
+        usize::from(self.0 & IDX_MASK)
+    }
 }
 
 /// The kernel-global singleton state guarded by the registry shard.
@@ -120,6 +126,8 @@ pub(crate) struct Tables {
     procs: [Mutex<HashMap<ProcessId, ProcessStruct>>; PROC_SHARDS],
     inodes: [Mutex<HashMap<InodeId, Inode>>; INODE_SHARDS],
     registry: Mutex<Registry>,
+    /// Shard acquisitions that found the mutex poisoned and recovered it.
+    poison_recoveries: AtomicU64,
 }
 
 impl std::fmt::Debug for Tables {
@@ -182,7 +190,23 @@ impl Tables {
             procs: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             inodes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             registry: Mutex::new(Registry::default()),
+            poison_recoveries: AtomicU64::new(0),
         }
+    }
+
+    /// Acquires one shard mutex: the only place the tables lock a shard.
+    /// A poisoned mutex (a syscall panicked while holding it) is
+    /// recovered and counted; an unpoisoned one costs nothing extra.
+    fn acquire<'a, T: ?Sized>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
+        m.lock().unwrap_or_else(|poisoned| {
+            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            poisoned.into_inner()
+        })
+    }
+
+    /// Number of poisoned shard acquisitions these tables recovered.
+    pub(crate) fn poison_recoveries(&self) -> u64 {
+        self.poison_recoveries.load(Ordering::Relaxed)
     }
 
     /// Locks the shard identified by `key`, recording the acquisition in
@@ -190,14 +214,21 @@ impl Tables {
     /// ascending order or the lint panics.
     pub(crate) fn lock(&self, key: ShardKey) -> HeldShard<'_> {
         lock_order::acquire(key.rank());
-        let idx = usize::from(key.0 & IDX_MASK);
+        let idx = key.index();
         let guard = match key.0 & DOM_MASK {
-            DOM_TASK => ShardGuard::Tasks(self.tasks[idx].lock()),
-            DOM_PROC => ShardGuard::Procs(self.procs[idx].lock()),
-            DOM_INODE => ShardGuard::Inodes(self.inodes[idx].lock()),
-            _ => ShardGuard::Registry(self.registry.lock()),
+            DOM_TASK => ShardGuard::Tasks(self.acquire(&self.tasks[idx])),
+            DOM_PROC => ShardGuard::Procs(self.acquire(&self.procs[idx])),
+            DOM_INODE => ShardGuard::Inodes(self.acquire(&self.inodes[idx])),
+            _ => ShardGuard::Registry(self.acquire(&self.registry)),
         };
         HeldShard { key, guard }
+    }
+
+    /// Locks one shard for the admin/boot paths, recording the
+    /// acquisition in the thread's lock-order lint state.
+    fn tracked<'a, T>(&'a self, key: ShardKey, m: &'a Mutex<T>) -> Tracked<'a, T> {
+        lock_order::acquire(key.rank());
+        Tracked { rank: key.rank(), guard: self.acquire(m) }
     }
 
     /// Locks the task shard for `tid` (admin paths: one shard at a time).
@@ -206,11 +237,7 @@ impl Tables {
         tid: TaskId,
     ) -> Tracked<'_, HashMap<TaskId, TaskStruct>> {
         let key = ShardKey::task(tid);
-        lock_order::acquire(key.rank());
-        Tracked {
-            rank: key.rank(),
-            guard: self.tasks[usize::from(key.0 & IDX_MASK)].lock(),
-        }
+        self.tracked(key, &self.tasks[key.index()])
     }
 
     /// Locks the process shard for `pid`.
@@ -219,11 +246,7 @@ impl Tables {
         pid: ProcessId,
     ) -> Tracked<'_, HashMap<ProcessId, ProcessStruct>> {
         let key = ShardKey::proc(pid);
-        lock_order::acquire(key.rank());
-        Tracked {
-            rank: key.rank(),
-            guard: self.procs[usize::from(key.0 & IDX_MASK)].lock(),
-        }
+        self.tracked(key, &self.procs[key.index()])
     }
 
     /// Locks the inode shard for `ino`.
@@ -232,31 +255,42 @@ impl Tables {
         ino: InodeId,
     ) -> Tracked<'_, HashMap<InodeId, Inode>> {
         let key = ShardKey::inode(ino);
-        lock_order::acquire(key.rank());
-        Tracked {
-            rank: key.rank(),
-            guard: self.inodes[usize::from(key.0 & IDX_MASK)].lock(),
-        }
+        self.tracked(key, &self.inodes[key.index()])
     }
 
     /// Locks the registry shard.
     pub(crate) fn registry(&self) -> Tracked<'_, Registry> {
-        let key = ShardKey::registry();
-        lock_order::acquire(key.rank());
-        Tracked { rank: key.rank(), guard: self.registry.lock() }
+        self.tracked(ShardKey::registry(), &self.registry)
     }
 
     /// Poisons the underlying mutex of one shard (fault injection).
     #[cfg(feature = "fault-injection")]
     pub(crate) fn poison(&self, key: ShardKey) {
-        let idx = usize::from(key.0 & IDX_MASK);
+        let idx = key.index();
         match key.0 & DOM_MASK {
-            DOM_TASK => self.tasks[idx].poison_for_test(),
-            DOM_PROC => self.procs[idx].poison_for_test(),
-            DOM_INODE => self.inodes[idx].poison_for_test(),
-            _ => self.registry.poison_for_test(),
+            DOM_TASK => poison_mutex(&self.tasks[idx]),
+            DOM_PROC => poison_mutex(&self.procs[idx]),
+            DOM_INODE => poison_mutex(&self.inodes[idx]),
+            _ => poison_mutex(&self.registry),
         }
     }
+}
+
+/// Poisons `m` by panicking a helper thread while it holds the guard, so
+/// the *next* acquisition takes the recovery path. The injected panic is
+/// silenced and joined before returning; the helper mutates nothing.
+#[cfg(feature = "fault-injection")]
+fn poison_mutex<T: Send>(m: &Mutex<T>) {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let _ = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            panic!("injected lock poison");
+        })
+        .join()
+    });
+    std::panic::set_hook(prev);
 }
 
 #[cfg(test)]

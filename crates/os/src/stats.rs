@@ -1,11 +1,12 @@
-//! Fail-closed fault counters for the kernel.
+//! Fail-closed fault counter for the kernel.
 //!
 //! [`syscalls_rolled_back`] counts syscalls whose body faulted (panicked)
 //! and were undone at the dispatch boundary — each one returned
 //! [`crate::OsError::Internal`] after the transaction journal restored
 //! every mutated entry. The counter is process-global (the kernel is a
-//! library, not a process) and resettable, mirroring the flow-cache
-//! counters in `laminar_difc`.
+//! library, not a process) and only grows: callers read it before and
+//! after a run and take the difference. Shard-lock poison recoveries are
+//! counted per kernel instead ([`crate::Kernel::poison_recoveries`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,13 +17,8 @@ pub(crate) fn note_syscall_rolled_back() {
 }
 
 /// Number of syscalls rolled back after a caught internal fault since
-/// process start (or the last [`reset_syscalls_rolled_back`]).
+/// process start.
 #[must_use]
 pub fn syscalls_rolled_back() -> u64 {
     SYSCALLS_ROLLED_BACK.load(Ordering::Relaxed)
-}
-
-/// Resets the rollback counter to zero.
-pub fn reset_syscalls_rolled_back() {
-    SYSCALLS_ROLLED_BACK.store(0, Ordering::Relaxed);
 }

@@ -7,15 +7,13 @@
 //! poisoned shard itself recovers on first touch with verdicts
 //! unchanged.
 //!
-//! The observable is `laminar_util::sync::poison_recoveries()`, a
-//! process-global counter bumped once per recovered lock acquisition.
-//! Because it is process-global, everything that reasons about it lives
-//! in a single `#[test]` (the test binary may run tests on parallel
-//! threads).
+//! The observable is `Kernel::poison_recoveries()`, a per-kernel
+//! counter bumped once per recovered shard acquisition. Each test boots
+//! its own kernels and reads the counter as before/after deltas, so the
+//! tests may run on parallel threads.
 
 use laminar_difc::{Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, UserId};
-use laminar_util::sync::{poison_recoveries, reset_poison_recoveries};
 
 /// One end-to-end story: poison the task shard of one task and the
 /// inode shard of one file, drive traffic that provably avoids those
@@ -53,7 +51,7 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
 
     // Poison alice's task shard from a crashing thread.
     kernel.poison_task_shard_for_test(alice.id());
-    reset_poison_recoveries();
+    let before = kernel.poison_recoveries();
 
     // Bob's syscalls never touch alice's task shard: his own task and
     // process shards differ, and his file traffic stays on inode shards.
@@ -65,8 +63,8 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
     assert_eq!(bob.read_file_at("/tmp/bobfile", 64).expect("bob read"), b"public");
     bob.unlink("/tmp/bobfile").expect("bob unlink");
     assert_eq!(
-        poison_recoveries(),
-        0,
+        kernel.poison_recoveries(),
+        before,
         "traffic on healthy shards must not touch the poisoned one"
     );
 
@@ -76,7 +74,10 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
         alice.read_file_at("/tmp/vault/secret", 64).expect("recovered read"),
         baseline_alice
     );
-    assert!(poison_recoveries() > 0, "the poisoned shard must have recovered");
+    assert!(
+        kernel.poison_recoveries() > before,
+        "the poisoned shard must have recovered"
+    );
 
     // Now the same story on an inode shard: poison the shard holding
     // the vault directory's inode — the shard where bob's denial is
@@ -85,10 +86,10 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
     // fail open).
     let ino = kernel.inode_of_for_test("/tmp/vault").expect("inode id");
     kernel.poison_inode_shard_for_test(ino);
-    reset_poison_recoveries();
+    let before = kernel.poison_recoveries();
     let after = bob.read_file_at("/tmp/vault/secret", 64).expect_err("still denied");
     assert_eq!(format!("{after:?}"), format!("{baseline_bob:?}"));
-    assert!(poison_recoveries() > 0, "the inode shard must have recovered");
+    assert!(kernel.poison_recoveries() > before, "the inode shard must have recovered");
 
     // And the recovered shards keep serving: full write/read round-trip.
     alice
@@ -126,4 +127,26 @@ fn poisoning_every_shard_is_semantically_invisible() {
     assert_eq!(task.readdir("/tmp/poked").expect("readdir"), vec!["f".to_string()]);
     task.unlink("/tmp/poked/f").expect("unlink");
     task.unlink("/tmp/poked").expect("rmdir");
+}
+
+/// The counter belongs to the kernel whose shard was poisoned: a second
+/// kernel in the same process reads zero however much the first one
+/// recovers.
+#[test]
+fn poison_recoveries_belong_to_their_kernel() {
+    let victim = Kernel::boot(LaminarModule);
+    let bystander = Kernel::boot(LaminarModule);
+    for k in [&victim, &bystander] {
+        k.add_user(UserId(1), "alice");
+    }
+    let task = victim.login(UserId(1)).expect("login victim");
+    let other = bystander.login(UserId(1)).expect("login bystander");
+
+    victim.poison_task_shard_for_test(task.id());
+    assert_eq!(victim.poison_recoveries(), 0, "poisoning alone recovers nothing");
+    task.alloc_tag().expect("syscall on the poisoned task shard");
+    other.alloc_tag().expect("syscall on the healthy kernel");
+
+    assert!(victim.poison_recoveries() > 0, "the poisoned kernel must have recovered");
+    assert_eq!(bystander.poison_recoveries(), 0);
 }

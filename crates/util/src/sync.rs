@@ -6,36 +6,18 @@
 //! own invariants, so the wrappers recover from poisoning via
 //! [`std::sync::PoisonError::into_inner`] instead of propagating an
 //! `unwrap()` to every call site.
+//!
+//! The wrappers count nothing. A recovery is an event of the structure
+//! that owns the lock, so the owner counts it: the kernel's shard tables
+//! lock `std` mutexes directly and count their own recoveries
+//! (`laminar_os::Kernel::poison_recoveries`).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
-/// Process-wide count of lock acquisitions that found the underlying
-/// `std` lock poisoned and recovered the guard.
-static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of poisoned-lock recoveries since process start (or the last
-/// [`reset_poison_recoveries`]).
-#[must_use]
-pub fn poison_recoveries() -> u64 {
-    POISON_RECOVERIES.load(Ordering::Relaxed)
-}
-
-/// Resets the poison-recovery counter to zero.
-pub fn reset_poison_recoveries() {
-    POISON_RECOVERIES.store(0, Ordering::Relaxed);
-}
-
-/// Unwraps a poisonable lock result, counting actual recoveries.
-fn recover<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
-    match r {
-        Ok(g) => g,
-        Err(p) => {
-            POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-            p.into_inner()
-        }
-    }
+/// Unwraps a poisonable lock result, recovering the guard.
+fn recover<G>(r: Result<G, PoisonError<G>>) -> G {
+    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
@@ -64,7 +46,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
             Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(recover(Err(p))),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -72,28 +54,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         recover(self.0.get_mut())
-    }
-}
-
-#[cfg(feature = "fault-injection")]
-impl<T: ?Sized + Send> Mutex<T> {
-    /// Fault injection for the conformance testkit: poisons the
-    /// underlying `std` mutex by panicking a helper thread while it
-    /// holds the guard, so the *next* `lock()` exercises the
-    /// poison-recovery path. The injected panic is silenced and joined
-    /// before returning; data is untouched (the helper mutates nothing).
-    pub fn poison_for_test(&self) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard =
-                    self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("injected lock poison");
-            })
-            .join()
-        });
-        std::panic::set_hook(prev);
     }
 }
 
@@ -250,33 +210,6 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7); // still usable
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn injected_poison_is_recovered() {
-        let m = Mutex::new(41);
-        m.poison_for_test();
-        let before = poison_recoveries();
-        *m.lock() += 1; // recovery path, not a panic
-        assert_eq!(*m.lock(), 42);
-        assert!(poison_recoveries() > before, "recovery must be counted");
-    }
-
-    #[test]
-    fn clean_locks_do_not_count_recoveries() {
-        reset_poison_recoveries();
-        let m = Mutex::new(0);
-        for _ in 0..10 {
-            *m.lock() += 1;
-        }
-        let l = RwLock::new(0);
-        let _ = *l.read();
-        *l.write() += 1;
-        // Other tests may poison locks concurrently; all we can assert
-        // locally is that these clean acquisitions did not have to recover
-        // anything on a lock nobody else touches.
-        assert_eq!(*m.lock(), 10);
     }
 
     #[test]

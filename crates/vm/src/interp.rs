@@ -445,7 +445,6 @@ impl Vm {
             }
         }
         self.stats.regions_aborted += 1;
-        crate::stats::note_region_aborted();
         laminar_obs::emit(laminar_obs::Event::RegionAbort {
             layer: laminar_obs::Layer::Vm,
         });

@@ -98,6 +98,6 @@ pub use interp::Vm;
 pub use program::{
     Class, CodeLabel, Function, FunctionBuilder, Program, ProgramBuilder, StaticDecl,
 };
-pub use stats::{regions_aborted, reset_regions_aborted, VmStats};
+pub use stats::VmStats;
 pub use value::{ObjRef, Value};
 pub use verify::verify;

@@ -4,31 +4,13 @@
 //! barrier work, allocation work and region entry/exit; these counters
 //! are how the harness attributes cost.
 //!
-//! [`regions_aborted`] is the process-global fail-closed counter: it
-//! counts security regions whose labeled writes were rolled back because
-//! the region terminated abnormally (an uncaught suppressible exception,
-//! or a non-suppressible fault unwinding through the region boundary).
-//! It mirrors `laminar_os::syscalls_rolled_back`.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static REGIONS_ABORTED: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn note_region_aborted() {
-    REGIONS_ABORTED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Number of security regions aborted (labeled writes rolled back) since
-/// process start or the last [`reset_regions_aborted`].
-#[must_use]
-pub fn regions_aborted() -> u64 {
-    REGIONS_ABORTED.load(Ordering::Relaxed)
-}
-
-/// Resets the global region-abort counter to zero.
-pub fn reset_regions_aborted() {
-    REGIONS_ABORTED.store(0, Ordering::Relaxed);
-}
+//! Every counter here belongs to one [`crate::Vm`]: callers read
+//! [`crate::Vm::stats`] before and after a phase and take the
+//! difference. [`VmStats::regions_aborted`] is the VM's fail-closed
+//! counter: security regions whose labeled writes were rolled back
+//! because the region terminated abnormally (an uncaught suppressible
+//! exception, or a non-suppressible fault unwinding through the region
+//! boundary).
 
 /// Counters accumulated by a [`crate::Vm`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -497,16 +497,12 @@ fn aborted_region_rolls_back_labeled_writes() {
     vm.host_put_field(state, 0, Value::Int(1)).unwrap();
     vm.host_put_field(state, 1, Value::Int(2)).unwrap();
 
-    // Other tests in this binary abort regions concurrently, so assert a
-    // monotonic delta on the global counter, not an absolute value.
-    let global_before = laminar_vm::regions_aborted();
     vm.call_by_name("main", &[Value::Ref(state)]).unwrap();
 
     // The throw was suppressed at the boundary AND the region's writes
     // were undone: the labeled object is byte-for-byte as it was.
     assert_eq!(vm.stats().exceptions_suppressed, 1);
     assert_eq!(vm.stats().regions_aborted, 1);
-    assert!(laminar_vm::regions_aborted() > global_before);
     assert_eq!(vm.host_get_field(state, 0).unwrap(), Value::Int(1));
     assert_eq!(vm.host_get_field(state, 1).unwrap(), Value::Int(2));
 }
