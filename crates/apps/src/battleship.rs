@@ -169,9 +169,9 @@ impl Battleship {
         let p0 = system.login(UserId(2000))?;
 
         // Pipes created before the fork so both processes share them.
-        let (g0_r, g0_w) = p0.task().pipe()?; // guesses for player0's board
-        let (g1_r, g1_w) = p0.task().pipe()?; // guesses for player1's board
-        let p1_task = p0.task().fork(None)?;
+        let (g0_r, g0_w) = p0.task()?.pipe()?; // guesses for player0's board
+        let (g1_r, g1_w) = p0.task()?.pipe()?; // guesses for player1's board
+        let p1_task = p0.task()?.fork(None)?;
         let p1 = system.adopt(p1_task)?;
 
         let t0 = p0.create_tag()?;
@@ -181,7 +181,7 @@ impl Battleship {
         let board1 = Self::make_board(&p1, t1, seed.wrapping_add(1))?;
 
         let display_sink = if display {
-            Some(p0.task().open("/dev/null", laminar_os::OpenMode::Write)?)
+            Some(p0.task()?.open("/dev/null", laminar_os::OpenMode::Write)?)
         } else {
             None
         };
@@ -263,7 +263,7 @@ impl Battleship {
                 let _ = crate::workload::request_work(&["shot"], SHOT_UNITS);
                 // Attacker sends the guess over the unlabeled pipe.
                 let att = &self.players[attacker];
-                att.principal.task().write(att.tx, &[x as u8, y as u8])?;
+                att.principal.task()?.write(att.tx, &[x as u8, y as u8])?;
                 // Defender receives and resolves it inside his region.
                 let (hit, sunk) = self.resolve_shot(defender)?;
                 if hit {
@@ -286,7 +286,7 @@ impl Battleship {
     /// board inside `{S(p_def)}`, and declassifies exactly two bits.
     fn resolve_shot(&self, defender: usize) -> LaminarResult<(bool, bool)> {
         let def = &self.players[defender];
-        let guess = def.principal.task().read(def.rx, 2)?;
+        let guess = def.principal.task()?.read(def.rx, 2)?;
         if guess.len() != 2 {
             return Err(LaminarError::App("lost guess".into()));
         }
@@ -323,7 +323,7 @@ impl Battleship {
         }
         drop(mask);
         if let Some(fd) = self.display_sink {
-            self.players[0].principal.task().write(fd, rendered.as_bytes())?;
+            self.players[0].principal.task()?.write(fd, rendered.as_bytes())?;
         }
         Ok(())
     }

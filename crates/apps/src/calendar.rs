@@ -51,11 +51,11 @@ impl CalendarSystem {
 
         // A pipe per user for capability transfer (created pre-fork so
         // both processes share it).
-        let (cap_rx_a, cap_tx_a) = sched_login.task().pipe()?;
-        let (cap_rx_b, cap_tx_b) = sched_login.task().pipe()?;
+        let (cap_rx_a, cap_tx_a) = sched_login.task()?.pipe()?;
+        let (cap_rx_b, cap_tx_b) = sched_login.task()?.pipe()?;
 
-        let alice = system.adopt(sched_login.task().fork(None)?)?;
-        let bob = system.adopt(sched_login.task().fork(None)?)?;
+        let alice = system.adopt(sched_login.task()?.fork(None)?)?;
+        let bob = system.adopt(sched_login.task()?.fork(None)?)?;
 
         let tag_a = alice.create_tag()?;
         let tag_b = bob.create_tag()?;
@@ -67,9 +67,9 @@ impl CalendarSystem {
         Self::init_calendar(&bob, tag_b, "/tmp/bob.ics", &[10, 12, 30, 32, 90])?;
 
         // Capability grants: Alice sends a+; Bob sends b+ and b-.
-        alice.task().write_capability(Capability::plus(tag_a), cap_tx_a)?;
-        bob.task().write_capability(Capability::plus(tag_b), cap_tx_b)?;
-        bob.task().write_capability(Capability::minus(tag_b), cap_tx_b)?;
+        alice.task()?.write_capability(Capability::plus(tag_a), cap_tx_a)?;
+        bob.task()?.write_capability(Capability::plus(tag_b), cap_tx_b)?;
+        bob.task()?.write_capability(Capability::minus(tag_b), cap_tx_b)?;
 
         for fd in [cap_rx_a, cap_rx_b, cap_rx_b] {
             if sched_login.receive_capability(fd)?.is_none() {
@@ -87,11 +87,11 @@ impl CalendarSystem {
         let scheduler = sched_login.spawn_thread(Some(sched_caps))?;
 
         // Output file: labeled {S(a)} so Alice can read the meeting.
-        let fd = scheduler.task().create_file_labeled(
+        let fd = scheduler.task()?.create_file_labeled(
             "/tmp/meeting_alice.txt",
             SecPair::secrecy_only(Label::singleton(tag_a)),
         )?;
-        scheduler.task().close(fd)?;
+        scheduler.task()?.close(fd)?;
 
         Ok(CalendarSystem { alice, bob, scheduler, tag_a, tag_b })
     }
@@ -105,9 +105,9 @@ impl CalendarSystem {
         // Pre-create while unlabeled; the file name lives in /tmp which
         // is unlabeled, so creation reveals nothing.
         let fd = owner
-            .task()
+            .task()?
             .create_file_labeled(path, SecPair::secrecy_only(Label::singleton(tag)))?;
-        owner.task().close(fd)?;
+        owner.task()?.close(fd)?;
         // Fill it from inside a region carrying the file's label.
         let params = RegionParams::new()
             .secrecy(Label::singleton(tag))
@@ -386,7 +386,7 @@ mod tests {
         let cal = CalendarSystem::new(&sys).unwrap();
         cal.schedule_meeting(0).unwrap();
         // Bob opens Alice's output file outside any region: denied.
-        let err = cal.bob.task().open("/tmp/meeting_alice.txt", OpenMode::Read);
+        let err = cal.bob.task().unwrap().open("/tmp/meeting_alice.txt", OpenMode::Read);
         assert!(err.is_err());
         // Even inside his own region {S(b)}: still denied (no a taint).
         let params = RegionParams::new()

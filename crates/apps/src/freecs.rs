@@ -50,7 +50,11 @@ pub struct User {
 /// The Laminar-secured chat server.
 #[derive(Debug)]
 pub struct ChatServer {
-    server: Principal,
+    /// The server's own principal. It is one kernel thread whose region
+    /// stack belongs to one OS thread at a time, so the calls that run on
+    /// it (logins, group creation, the read-only queries) take turns and
+    /// may come from any number of threads at once.
+    server: Mutex<Principal>,
     /// Integrity tag of the "registered user" role (membership writes).
     member_tag: Tag,
     /// Integrity tag of the VIP role.
@@ -79,7 +83,7 @@ impl ChatServer {
         let member_tag = server.create_tag()?;
         let vip_tag = server.create_tag()?;
         Ok(ChatServer {
-            server,
+            server: Mutex::new(server),
             member_tag,
             vip_tag,
             users: Mutex::new(BTreeMap::new()),
@@ -96,20 +100,21 @@ impl ChatServer {
     pub fn login_user(&self, name: &str, vip: bool) -> LaminarResult<()> {
         // Grant via kernel-mediated capability transfer (Fig. 3): the
         // server writes the role capabilities into a pipe the user reads.
-        let (rx, tx) = self.server.task().pipe()?;
-        self.server.task().write_capability(Capability::plus(self.member_tag), tx)?;
+        let server = self.server.lock();
+        let (rx, tx) = server.task()?.pipe()?;
+        server.task()?.write_capability(Capability::plus(self.member_tag), tx)?;
         if vip {
-            self.server.task().write_capability(Capability::plus(self.vip_tag), tx)?;
+            server.task()?.write_capability(Capability::plus(self.vip_tag), tx)?;
         }
-        let principal = self.server.spawn_thread(Some(laminar_difc::CapSet::new()))?;
+        let principal = server.spawn_thread(Some(laminar_difc::CapSet::new()))?;
         principal.receive_capability(rx)?;
         if vip {
             principal.receive_capability(rx)?;
         }
         let tag = principal.create_tag()?;
         let inbox = self.make_inbox(&principal, tag)?;
-        self.server.task().close(rx)?;
-        self.server.task().close(tx)?;
+        server.task()?.close(rx)?;
+        server.task()?.close(tx)?;
         self.users
             .lock()
             .insert(name.to_string(), Arc::new(User { principal, tag, inbox, vip }));
@@ -133,18 +138,19 @@ impl ChatServer {
     /// # Errors
     /// Fails for unknown owners.
     pub fn create_group(&self, name: &str, owner: &str) -> LaminarResult<()> {
-        let su_tag = self.server.create_tag()?;
+        let server = self.server.lock();
+        let su_tag = server.create_tag()?;
         let owner_user = self
             .users
             .lock()
             .get(owner)
             .cloned()
             .ok_or(LaminarError::App("unknown owner".into()))?;
-        let (rx, tx) = self.server.task().pipe()?;
-        self.server.task().write_capability(Capability::plus(su_tag), tx)?;
+        let (rx, tx) = server.task()?.pipe()?;
+        server.task()?.write_capability(Capability::plus(su_tag), tx)?;
         owner_user.principal.receive_capability(rx)?;
-        self.server.task().close(rx)?;
-        self.server.task().close(tx)?;
+        server.task()?.close(rx)?;
+        server.task()?.close(tx)?;
 
         // The server endorses the initial structures: banlist carries
         // BOTH the VIP and superuser integrity tags (the §7.4 policy).
@@ -156,8 +162,7 @@ impl ChatServer {
             .grant(Capability::plus(self.vip_tag))
             .grant(Capability::plus(su_tag))
             .grant(Capability::plus(self.member_tag));
-        let group = self
-            .server
+        let group = server
             .secure(
                 &params,
                 |g| {
@@ -451,6 +456,7 @@ impl ChatServer {
         for (name, g) in groups {
             let count = self
                 .server
+                .lock()
                 .secure(
                     &RegionParams::new(),
                     |guard| g.members.read(guard, BTreeSet::len),
@@ -469,6 +475,7 @@ impl ChatServer {
     pub fn theme(&self, group: &str) -> LaminarResult<String> {
         let g = self.group(group)?;
         self.server
+            .lock()
             .secure(
                 &RegionParams::new(),
                 |guard| g.theme.read(guard, Clone::clone),
@@ -529,7 +536,7 @@ impl ChatServer {
     /// Aggregated statistics across the server and every user principal.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        let mut s = self.server.stats();
+        let mut s = self.server.lock().stats();
         for u in self.users.lock().values() {
             s.merge(&u.principal.stats());
         }
@@ -538,7 +545,7 @@ impl ChatServer {
 
     /// Resets all statistics.
     pub fn reset_stats(&self) {
-        self.server.reset_stats();
+        self.server.lock().reset_stats();
         for u in self.users.lock().values() {
             u.principal.reset_stats();
         }

@@ -1,11 +1,12 @@
 //! Decision-trace (`laminar-obs`) overhead on the PR 4 SMP workloads
 //! ([`laminar_bench::smp`]): the same three syscall mixes, each measured
-//! twice on the same kernel — tracing disabled (the default; every emit
-//! point is one relaxed atomic load) and tracing enabled (typed events
-//! staged per-syscall, flushed into bounded per-thread rings on commit).
+//! twice on the same kernel — its audit disabled (the default; each
+//! syscall reads the kernel's flag with one relaxed atomic load) and
+//! enabled (typed events staged per syscall, moved into the kernel's
+//! bounded ring on commit).
 //!
-//! Nobody drains the rings during the run, so the enabled numbers are
-//! the worst case of a lagging reader: rings wrap and count truncation
+//! Nobody reads the ring during the run, so the enabled numbers are the
+//! worst case of a lagging reader: the ring wraps and counts truncation
 //! rather than blocking the hot path.
 //!
 //! Results go to stdout and `BENCH_obs_overhead.json` at the repo root.
@@ -74,14 +75,11 @@ fn main() {
             // hosts where scheduling noise exceeds the overhead budget.
             let (d_dis, d_en) = interleaved_best(
                 vol.trials,
+                || fx.run_all(&lock, vol.ops_per_worker),
                 || {
-                    laminar_obs::set_enabled(false);
+                    fx.kernel.audit().set_enabled(true);
                     fx.run_all(&lock, vol.ops_per_worker);
-                },
-                || {
-                    laminar_obs::set_enabled(true);
-                    fx.run_all(&lock, vol.ops_per_worker);
-                    laminar_obs::set_enabled(false);
+                    fx.kernel.audit().set_enabled(false);
                 },
             );
             let cell = Cell {
@@ -127,17 +125,13 @@ fn main() {
             rows.join(",\n")
         ));
     }
-    // Leave the process in the default state however the run ended.
-    laminar_obs::set_enabled(false);
-    laminar_obs::reset();
-
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 
     let json = format!(
         "{{\n  \"bench\": \"BENCH_obs_overhead\",\n  \"host_cpus\": {host_cpus},\n  \
          \"smoke\": {},\n  \"ops_per_worker\": {},\n  \"trials\": {},\n  \
          \"caveat\": \"enabled numbers are the lagging-reader worst case: nothing \
-         drains the rings mid-run, so they wrap and count truncation; \
+         reads the kernel's ring mid-run, so it wraps and counts truncation; \
          disabled-mode overhead vs the untraced seed is gated by the pr4_smp \
          smoke run, which executes with tracing off\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         vol.smoke,

@@ -70,7 +70,7 @@ fn main() {
     // request pipe; answers return on a {S(t)}-labeled response pipe (the
     // response derives from the secret). The *client* must taint itself
     // to read responses — whole-process, as Flume requires.
-    let task = p.task();
+    let task = p.task().unwrap();
     // Both channels carry the label: the client process is itself
     // tainted for its whole life (address-space granularity), so even
     // its *requests* live at {S(t)}. Create the pipes while tainted.

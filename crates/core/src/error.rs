@@ -19,6 +19,10 @@ pub enum LaminarError {
     RegionEntry(&'static str),
     /// The operation is only legal inside a security region.
     NotInRegion,
+    /// Another use of the principal excludes this one: a region open on
+    /// another OS thread, or kernel access taken outside regions while a
+    /// region would push its labels to the same kernel task.
+    Busy(&'static str),
     /// An OS syscall performed on behalf of the runtime failed.
     Os(OsError),
     /// An application exception raised by region code (the payload is the
@@ -40,6 +44,7 @@ impl fmt::Display for LaminarError {
             LaminarError::NotInRegion => {
                 f.write_str("labeled data may only be accessed inside a security region")
             }
+            LaminarError::Busy(why) => write!(f, "principal busy: {why}"),
             LaminarError::Os(e) => write!(f, "os error: {e}"),
             LaminarError::App(msg) => write!(f, "application exception: {msg}"),
             LaminarError::Internal(msg) => {

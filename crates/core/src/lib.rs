@@ -76,7 +76,9 @@ mod vmbridge;
 
 pub use error::{LaminarError, LaminarResult};
 pub use labeled::Labeled;
-pub use principal::{check_region_entry, Principal, RegionGuard, RegionParams};
+pub use principal::{
+    check_region_entry, Principal, RegionGuard, RegionParams, TaskAccess,
+};
 pub use runtime::{unlabeled, Laminar};
 pub use stats::RuntimeStats;
 pub use vmbridge::KernelBridge;

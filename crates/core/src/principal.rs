@@ -18,8 +18,10 @@ use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair, Tag};
 use laminar_os::{TaskHandle, UserId};
 use laminar_util::sync::Mutex;
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Per-process trusted runtime state: the `tcb` thread.
@@ -49,6 +51,14 @@ pub(crate) struct ThreadState {
     pub(crate) labels: SecPair,
     pub(crate) caps: CapSet,
     frames: Vec<Frame>,
+    /// The OS thread that opened the outermost region, while `frames` is
+    /// non-empty. The region stack belongs to it alone: another thread
+    /// entering a region on the same principal would swap the labels the
+    /// holder's barriers check against.
+    holder: Option<ThreadId>,
+    /// Live [`TaskAccess`]es taken outside regions; while one lives, no
+    /// region pushes its labels to the kernel task.
+    outside_access: usize,
     /// Kernel task currently carries `labels` (lazy sync, §4.4).
     synced: bool,
 }
@@ -59,6 +69,8 @@ impl ThreadState {
             labels: SecPair::unlabeled(),
             caps,
             frames: Vec::new(),
+            holder: None,
+            outside_access: 0,
             synced: false,
         }
     }
@@ -94,8 +106,7 @@ pub(crate) fn with_dynamic_ctx<R>(
 /// it runs with (Fig. 4's `secure({S(a,b), I(i), C(a-)})` literal).
 #[derive(Clone, Debug, Default)]
 pub struct RegionParams {
-    secrecy: Label,
-    integrity: Label,
+    pair: SecPair,
     caps: CapSet,
 }
 
@@ -109,14 +120,14 @@ impl RegionParams {
     /// Sets the secrecy label.
     #[must_use]
     pub fn secrecy(mut self, label: Label) -> Self {
-        self.secrecy = label;
+        self.pair = self.pair.with_label(LabelType::Secrecy, label);
         self
     }
 
     /// Sets the integrity label.
     #[must_use]
     pub fn integrity(mut self, label: Label) -> Self {
-        self.integrity = label;
+        self.pair = self.pair.with_label(LabelType::Integrity, label);
         self
     }
 
@@ -137,7 +148,7 @@ impl RegionParams {
     /// The region's label pair.
     #[must_use]
     pub fn pair(&self) -> SecPair {
-        SecPair::new(self.secrecy.clone(), self.integrity.clone())
+        self.pair.clone()
     }
 
     /// The region's capability set.
@@ -147,13 +158,9 @@ impl RegionParams {
     }
 }
 
-/// Checks the security-region entry rules of §4.3.2 for a thread with
-/// the given `labels` and `caps` against `params`, without entering:
-///
-/// 1. `SR ⊆ (Cp+ ∪ SP)` and `IR ⊆ (Cp+ ∪ IP)` — each region tag is
-///    either already carried or addable;
-/// 2. `CR ⊆ CP` — the region's capabilities are a subset of the
-///    thread's.
+/// Checks the security-region entry rules of §4.3.2
+/// ([`laminar_difc::check_region_entry`]) for a thread with the given
+/// `labels` and `caps` against `params`, without entering.
 ///
 /// [`Principal::secure`] runs exactly this check before swapping in the
 /// region's context; it is public so the model-based conformance
@@ -166,35 +173,19 @@ pub fn check_region_entry(
     caps: &CapSet,
     params: &RegionParams,
 ) -> LaminarResult<()> {
-    // Rule (1) of §4.3.2: SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
-    for t in params.secrecy.iter() {
-        if !caps.can_add(t) && !labels.secrecy().contains(t) {
-            return Err(LaminarError::RegionEntry(
-                "thread lacks capability or label for a region secrecy tag",
-            ));
-        }
-    }
-    for t in params.integrity.iter() {
-        if !caps.can_add(t) && !labels.integrity().contains(t) {
-            return Err(LaminarError::RegionEntry(
-                "thread lacks capability or label for a region integrity tag",
-            ));
-        }
-    }
-    // Rule (2): CR ⊆ CP.
-    if !params.caps.is_subset_of(caps) {
-        return Err(LaminarError::RegionEntry(
-            "region capabilities exceed the entering thread's",
-        ));
-    }
-    Ok(())
+    laminar_difc::check_region_entry(labels, caps, &params.pair, &params.caps)
+        .map_err(LaminarError::RegionEntry)
 }
 
 /// A kernel-thread principal bound to the Laminar runtime.
 ///
 /// Obtained from [`crate::Laminar::login`] (or
-/// [`Principal::spawn_thread`]); owned by one OS thread at a time
-/// (`Send`, not shared).
+/// [`Principal::spawn_thread`]). A principal may be shared between OS
+/// threads, but its region stack belongs to the thread that opened the
+/// outermost region: until that region exits, [`Principal::secure`] on
+/// any other thread fails with [`LaminarError::RegionEntry`], and the
+/// principal's kernel calls there ([`Principal::task`],
+/// [`Principal::create_tag`], ...) fail with [`LaminarError::Busy`].
 #[derive(Debug)]
 pub struct Principal {
     task: TaskHandle,
@@ -213,12 +204,30 @@ impl Principal {
         Principal { task, rt, state, stats }
     }
 
-    /// The underlying kernel task (for direct OS syscalls outside
-    /// security regions — labels there are empty, so the kernel's own
-    /// checks suffice).
-    #[must_use]
-    pub fn task(&self) -> &TaskHandle {
-        &self.task
+    /// The underlying kernel task, for direct OS syscalls outside
+    /// security regions (inside one, use [`RegionGuard::os`]). While the
+    /// access lives, a region's first syscall fails (confined) rather
+    /// than push the region's labels to a task the access can read by.
+    ///
+    /// # Errors
+    /// [`LaminarError::Busy`] while a region is open on this principal,
+    /// on any thread.
+    pub fn task(&self) -> LaminarResult<TaskAccess<'_>> {
+        self.kernel(false)
+    }
+
+    /// Kernel access: counted outside regions; inside one, only for the
+    /// holder thread and only if `in_region`.
+    fn kernel(&self, in_region: bool) -> LaminarResult<TaskAccess<'_>> {
+        let mut st = self.state.lock();
+        if st.frames.is_empty() {
+            st.outside_access += 1;
+            return Ok(TaskAccess { principal: self, counted: true });
+        }
+        if in_region && st.holder == Some(std::thread::current().id()) {
+            return Ok(TaskAccess { principal: self, counted: false });
+        }
+        Err(LaminarError::Busy("a security region is open on this principal"))
     }
 
     /// Is this principal currently executing inside a security region?
@@ -264,7 +273,7 @@ impl Principal {
     /// # Errors
     /// Fails if the kernel task has exited.
     pub fn create_tag(&self) -> LaminarResult<Tag> {
-        let tag = self.task.alloc_tag()?;
+        let tag = self.kernel(true)?.alloc_tag()?;
         let mut st = self.state.lock();
         st.caps.grant_both(tag);
         for f in &mut st.frames {
@@ -286,7 +295,7 @@ impl Principal {
         &self,
         fd: laminar_os::Fd,
     ) -> LaminarResult<Option<Capability>> {
-        let cap = self.task.read_capability(fd)?;
+        let cap = self.kernel(true)?.read_capability(fd)?;
         if let Some(c) = cap {
             let mut st = self.state.lock();
             st.caps.grant(c);
@@ -316,7 +325,7 @@ impl Principal {
             }
         }
         let effective = caps.unwrap_or_else(|| self.current_caps());
-        let task = self.task.spawn_thread(Some(effective.clone()))?;
+        let task = self.kernel(true)?.spawn_thread(Some(effective.clone()))?;
         Ok(Principal::new(
             task,
             Arc::clone(&self.rt),
@@ -328,8 +337,15 @@ impl Principal {
     // --- security regions ---------------------------------------------------
 
     fn enter_region(&self, params: &RegionParams) -> LaminarResult<()> {
+        let me = std::thread::current().id();
         let mut st = self.state.lock();
+        if st.holder.is_some_and(|holder| holder != me) {
+            return Err(LaminarError::RegionEntry(
+                "another thread holds this principal's region stack",
+            ));
+        }
         check_region_entry(&st.labels, &st.caps, params)?;
+        st.holder = Some(me);
         let saved_labels = std::mem::replace(&mut st.labels, params.pair());
         let saved_caps = std::mem::replace(&mut st.caps, params.caps.clone());
         st.frames.push(Frame { saved_labels, saved_caps, suspended: CapSet::new() });
@@ -345,6 +361,9 @@ impl Principal {
         // surface it fail-closed instead of unwinding with the lock held.
         let frame =
             st.frames.pop().ok_or(LaminarError::Internal("region exit without entry"))?;
+        if st.frames.is_empty() {
+            st.holder = None;
+        }
         if st.synced {
             // The kernel task carries the region's labels; only the
             // trusted tcb thread can drop them — the thread itself may
@@ -372,6 +391,11 @@ impl Principal {
         let mut st = self.state.lock();
         if st.synced || st.frames.is_empty() {
             return Ok(());
+        }
+        if st.outside_access > 0 {
+            return Err(LaminarError::Busy(
+                "kernel access taken outside regions is still live",
+            ));
         }
         // Align the kernel's capability view with the region's: suspend
         // everything the region did not retain, remember it for restore.
@@ -461,6 +485,31 @@ impl Principal {
             self.stats.lock().region_ns += started.elapsed().as_nanos() as u64;
         }
         Ok(result)
+    }
+}
+
+/// Kernel access to a principal's task outside its security regions,
+/// from [`Principal::task`]; dereferences to the [`TaskHandle`].
+#[derive(Debug)]
+pub struct TaskAccess<'p> {
+    principal: &'p Principal,
+    /// Registered in `outside_access` (taken outside any region).
+    counted: bool,
+}
+
+impl Deref for TaskAccess<'_> {
+    type Target = TaskHandle;
+
+    fn deref(&self) -> &TaskHandle {
+        &self.principal.task
+    }
+}
+
+impl Drop for TaskAccess<'_> {
+    fn drop(&mut self) {
+        if self.counted {
+            self.principal.state.lock().outside_access -= 1;
+        }
     }
 }
 

@@ -166,7 +166,7 @@ mod tests {
         sys.add_user(UserId(3), "carol");
         let carol = sys.login(UserId(3)).unwrap();
         let t = carol.create_tag().unwrap();
-        carol.task().save_persistent_caps().unwrap();
+        carol.task().unwrap().save_persistent_caps().unwrap();
         drop(carol);
         let carol2 = sys.login(UserId(3)).unwrap();
         assert!(carol2.current_caps().can_add(t));

@@ -26,6 +26,12 @@
 //! Hit/miss/insert counters are process-global atomics, snapshotted via
 //! [`flow_cache_stats`] and re-exported through `laminar::stats` so
 //! benchmarks and tests can observe cache behaviour.
+//!
+//! The cache writes nothing to the `laminar-obs` decision trace. One
+//! verdict here serves every kernel and VM in the process, so a miss
+//! records the state of a shared cache, not a decision of any one
+//! reference monitor; the layer that asked (an LSM hook, a syscall's
+//! outcome, a VM barrier) logs the decision in its owner's audit.
 
 use crate::label::Label;
 use crate::pair::SecPair;
@@ -196,46 +202,13 @@ fn shard_for(k: u64) -> &'static Shard {
     &shards()[(mix >> 57) as usize & (SHARDS - 1)]
 }
 
-/// Decision-trace hook for the audit subsystem: reports a *computed*
-/// probe verdict to `laminar-obs`. `#[cold]` and called only behind an
-/// `enabled()` check, so the disabled-mode probe cost is one relaxed
-/// atomic load. Cache hits are deliberately *not* traced — a hit replays
-/// a verdict this hook already recorded when it was computed, and
-/// re-logging every memoized check would make tracing cost proportional
-/// to the exact hot path the cache exists to make cheap. The inline
-/// fast paths (empty/id-equal operands) are untraced for the same
-/// reason: they answer without consulting any state a fault could
-/// perturb.
-#[cold]
-fn trace_probe(k: u64, kind: CheckKind, verdict: bool) {
-    laminar_obs::emit(laminar_obs::Event::FlowCheck {
-        layer: laminar_obs::Layer::Difc,
-        op: match kind {
-            CheckKind::Subset => "subset",
-            CheckKind::Flow => "flow",
-        },
-        subject: (k >> 32) as u32,
-        object: k as u32,
-        verdict: if verdict {
-            laminar_obs::Verdict::Allow
-        } else {
-            laminar_obs::Verdict::Deny
-        },
-        cache_hit: false,
-    });
-}
-
 /// One cache probe: returns the memoized verdict or computes, records
 /// and returns it.
 fn probe(k: u64, kind: CheckKind, compute: impl FnOnce() -> bool) -> bool {
     #[cfg(feature = "fault-injection")]
     if fault::fault_mode() == fault::FaultMode::ForceMiss {
         MISSES.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
-        if laminar_obs::enabled() {
-            trace_probe(k, kind, v);
-        }
-        return v;
+        return compute();
     }
     let shard = shard_for(k);
     if let Some(&v) =
@@ -268,10 +241,6 @@ fn probe(k: u64, kind: CheckKind, compute: impl FnOnce() -> bool) -> bool {
     }
     st.map.insert((k, kind), v);
     INSERTS.fetch_add(1, Ordering::Relaxed);
-    drop(st);
-    if laminar_obs::enabled() {
-        trace_probe(k, kind, v);
-    }
     v
 }
 

@@ -80,5 +80,5 @@ pub use caps::{CapKind, CapSet, Capability};
 pub use error::{FlowError, LabelChangeError};
 pub use intern::{intern_stats, InternStats, LabelId, PairId};
 pub use label::{Label, LabelType};
-pub use pair::{check_label_change, check_pair_change, SecPair};
+pub use pair::{check_label_change, check_pair_change, check_region_entry, SecPair};
 pub use tag::{Tag, TagAllocator};

@@ -13,6 +13,7 @@ use crate::caps::CapSet;
 use crate::error::{FlowError, LabelChangeError};
 use crate::intern::{self, PairId};
 use crate::label::{Label, LabelType};
+use crate::tag::Tag;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -273,6 +274,41 @@ pub fn check_pair_change(
     check_label_change(from.integrity(), to.integrity(), caps)
 }
 
+/// Checks the security-region entry rules of §4.3.2 for a thread with
+/// labels `thread` and capabilities `thread_caps` entering a region with
+/// labels `region` and capabilities `region_caps`:
+///
+/// 1. `SR ⊆ (Cp+ ∪ SP)` and `IR ⊆ (Cp+ ∪ IP)` — each region tag is
+///    either already carried or addable;
+/// 2. `CR ⊆ CP` — the region's capabilities are a subset of the
+///    thread's.
+///
+/// The runtime's `secure` regions and the VM's region instructions both
+/// enter through this one rule.
+///
+/// # Errors
+///
+/// The first rule that fails, in words.
+pub fn check_region_entry(
+    thread: &SecPair,
+    thread_caps: &CapSet,
+    region: &SecPair,
+    region_caps: &CapSet,
+) -> Result<(), &'static str> {
+    let covered =
+        |tag: Tag, carried: &Label| thread_caps.can_add(tag) || carried.contains(tag);
+    if !region.secrecy().iter().all(|t| covered(t, thread.secrecy())) {
+        return Err("thread lacks capability or label for a region secrecy tag");
+    }
+    if !region.integrity().iter().all(|t| covered(t, thread.integrity())) {
+        return Err("thread lacks capability or label for a region integrity tag");
+    }
+    if !region_caps.is_subset_of(thread_caps) {
+        return Err("region capabilities exceed the entering thread's");
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +320,35 @@ mod tests {
     }
     fn l(tags: &[u64]) -> Label {
         Label::from_tags(tags.iter().map(|&n| t(n)))
+    }
+
+    #[test]
+    fn region_entry_names_the_failing_rule() {
+        let none = CapSet::new();
+        let plus1 = CapSet::from_caps([Capability::plus(t(1))]);
+        let s1 = SecPair::secrecy_only(l(&[1]));
+        let i1 = SecPair::integrity_only(l(&[1]));
+        // Rule (1): a region tag must be carried or addable.
+        assert_eq!(
+            check_region_entry(&SecPair::unlabeled(), &none, &s1, &none),
+            Err("thread lacks capability or label for a region secrecy tag")
+        );
+        assert_eq!(
+            check_region_entry(&SecPair::unlabeled(), &none, &i1, &none),
+            Err("thread lacks capability or label for a region integrity tag")
+        );
+        assert!(check_region_entry(&s1, &none, &s1, &none).is_ok());
+        assert!(check_region_entry(&SecPair::unlabeled(), &plus1, &s1, &none).is_ok());
+        // Rule (2): region capabilities must be the thread's.
+        assert_eq!(
+            check_region_entry(
+                &SecPair::unlabeled(),
+                &none,
+                &SecPair::unlabeled(),
+                &plus1
+            ),
+            Err("region capabilities exceed the entering thread's")
+        );
     }
 
     #[test]

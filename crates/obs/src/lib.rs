@@ -6,60 +6,56 @@
 //! itself be a channel (§5.2). The flip side is that the reference
 //! monitor's decisions are invisible — to operators and auditors as well
 //! as to adversaries. This crate restores visibility **on the trusted
-//! side only**: a low-overhead, kernel-side decision trace that records
-//! what every enforcement layer (the `laminar-difc` check/cache path,
-//! the OS LSM hooks and syscall transaction boundary, the VM barriers
-//! and security regions) decided, correlated with the kernel's commit
-//! tickets so an audit trail can be replayed against the linearization
-//! witness.
+//! side only**: a low-overhead decision trace that records what the
+//! enforcement layers decided (the OS LSM hooks and syscall transaction
+//! boundary, the VM barriers and security regions), correlated with the
+//! kernel's commit tickets so an audit trail can be replayed against the
+//! linearization witness.
+//!
+//! ## One log per owner
+//!
+//! An [`Audit`] is the whole sink: an enable flag, one bounded ring with
+//! its own dense sequence numbers, its truncation count and its
+//! per-syscall latency histograms. Each kernel owns one and each VM owns
+//! one; nothing here is process-global, so one kernel's log never holds
+//! another's decisions. The `laminar-difc` memo cache does not trace: one
+//! verdict there serves every kernel in the process, so a miss records
+//! cache state, not any monitor's decision. The layer that asked — an
+//! LSM hook, a syscall's outcome, a barrier — records the decision.
 //!
 //! ## Trust gating
 //!
-//! The read side ([`snapshot`], [`take_local`]) is deliberately **not**
-//! reachable from the syscall surface: `TaskHandle` exposes no audit
-//! API, and nothing here is keyed by or filtered to a calling task. A
-//! subject that could observe its own `SilentDrop` events would have
-//! exactly the covert channel §5.2 closes — the audit log is the
-//! operator's view, read by `Kernel`-level (trusted) callers and tests.
-//! Untrusted code runs *under* the kernel simulation and never links
-//! against this crate directly.
+//! The read side ([`Audit::snapshot`]) is reached only through the
+//! owner: `Kernel::audit()` and `Vm::audit()`. `TaskHandle` has no path
+//! to its kernel, so no syscall exposes an audit, and nothing here is
+//! keyed by or filtered to a calling task. A subject that could observe
+//! its own `SilentDrop` events would have exactly the covert channel
+//! §5.2 closes — the audit log is the operator's view.
 //!
 //! ## Exactly-once semantics
 //!
 //! Syscall bodies may rerun (the sharded kernel's footprint-restart
-//! loop), so events emitted inside a body are *staged* in a thread-local
-//! buffer and only reach the ring when the dispatch loop commits the
-//! attempt — a restart discards the stage. A denial is a final outcome
-//! and flushes like a commit; only a caught panic (rollback) discards
-//! staged decision events, since the half-executed body's decisions were
-//! undone. Events emitted outside any syscall (VM barriers, region
-//! entry) join the thread's pending batch directly.
+//! loop), so events a body reports through [`emit`] are *staged* in a
+//! thread-local buffer that [`Audit::syscall_begin`] opens — only when
+//! that kernel's audit is enabled. A restart discards the stage. A final
+//! outcome (success or typed denial) moves the attempt into the owner's
+//! ring under one lock, so each syscall's records are contiguous and
+//! densely numbered (commit tickets, taken earlier, stay the
+//! cross-thread order witness); a caught panic (rollback) discards the
+//! staged decisions, since the half-executed body's effects were undone.
+//! [`emit`] with no open stage does nothing. Events outside any syscall
+//! (VM barriers, region entry and abort) go straight into their owner's
+//! ring through [`Audit::record`].
 //!
-//! ## Cost when disabled
+//! ## Cost
 //!
-//! Every emit point first reads one relaxed [`AtomicBool`]; when tracing
-//! is off that is the entire cost (no clock reads, no locks, no
-//! allocation), so the subsystem compiles to a near-no-op in production
-//! configurations that never enable it.
-//!
-//! ## Cost when enabled
-//!
-//! The enabled hot path is thread-local: committed records accumulate in
-//! a per-thread batch and reach the shared (mutex-protected, bounded)
-//! ring in blocks — one lock acquisition and one global sequence-block
-//! allocation per [`FLUSH_BATCH`]-sized batch, never per record. Clock
-//! reads are sampled (one dispatch in [`LATENCY_SAMPLE_EVERY`]
-//! feeds the log2 latency histograms; the rest record no latency), and
-//! the layers emit *decisions*, not checks: the difc memo path records a
-//! verdict only when it is actually computed (a cache hit replays an
-//! already-recorded decision), LSM hooks record only denials, and a
-//! decision-free successful dispatch — no staged events, no typed error —
-//! leaves no records at all (only its sampled latency). Sequence
-//! numbers are allocated per flushed block, so cross-thread interleaving
-//! in a merged snapshot is flush-grained; within a thread, and between a
-//! syscall's staged events and its commit record, order is exact, and
-//! commit *tickets* remain the precise cross-thread linearization
-//! witness.
+//! Disabled, a syscall or barrier reads its owner's flag with one
+//! relaxed atomic load: no clock reads, no locks, no allocation. Enabled,
+//! a dispatch that decided nothing — no staged events, no typed error —
+//! leaves no records, and one dispatch in [`LATENCY_SAMPLE_EVERY`] per
+//! thread reads the clock for the log2 latency histograms, so the ring
+//! lock is taken only by dispatches that decided something or were
+//! sampled. LSM hooks record only denials.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -68,15 +64,14 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which enforcement layer produced an event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Layer {
-    /// The `laminar-difc` label model: the memoized check/cache path.
-    Difc,
     /// The OS kernel: LSM hooks and the syscall transaction boundary.
     Os,
     /// The managed runtime: VM read/write barriers and security regions.
@@ -86,7 +81,6 @@ pub enum Layer {
 impl Layer {
     fn as_str(self) -> &'static str {
         match self {
-            Layer::Difc => "difc",
             Layer::Os => "os",
             Layer::Vm => "vm",
         }
@@ -130,16 +124,13 @@ pub enum Verdict {
 /// events are `Copy` and recording never allocates per-event payloads.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// One subset/flow decision. `subject`/`object` are interned label or
-    /// pair ids (`laminar-difc` interning makes them stable process-wide
-    /// for the life of the run). `cache_hit` is meaningful only for
-    /// [`Layer::Difc`] events (the memo-table path); hook-level events
-    /// report `false`.
+    /// One flow decision. `subject`/`object` are interned pair ids
+    /// (`laminar-difc` interning makes them stable process-wide for the
+    /// life of the run).
     FlowCheck {
         /// Layer that asked the question.
         layer: Layer,
-        /// Which check: `"subset"`/`"flow"` at the difc layer, the LSM
-        /// hook or barrier name above it.
+        /// Which check: the LSM hook or barrier name.
         op: &'static str,
         /// Interned id of the subject (task / source) label or pair.
         subject: u32,
@@ -147,8 +138,6 @@ pub enum Event {
         object: u32,
         /// The decision.
         verdict: Verdict,
-        /// Whether the memo table answered (difc layer only).
-        cache_hit: bool,
     },
     /// A message silently dropped on an unreliable channel (§5.2). The
     /// subject saw full success; only this trusted log records the drop.
@@ -225,12 +214,11 @@ pub enum Event {
     },
 }
 
-/// One recorded event with its global sequence number. Sequence numbers
-/// are process-wide and strictly increasing, so records from different
-/// per-thread rings merge into one total order.
+/// One recorded event with its sequence number. Each [`Audit`] numbers
+/// its records densely from 0 in the order they enter its ring.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Record {
-    /// Global sequence number (allocation order into the rings).
+    /// Position in the owning audit's sequence.
     pub seq: u64,
     /// The event.
     pub event: Event,
@@ -271,7 +259,7 @@ impl LatencyHist {
     }
 }
 
-/// Per-thread ring capacity, in records; past it the oldest records go.
+/// Ring capacity of one [`Audit`], in records; past it the oldest go.
 pub const RING_CAPACITY: usize = 8192;
 
 /// Latency sampling period: one syscall dispatch in this many per thread
@@ -279,217 +267,188 @@ pub const RING_CAPACITY: usize = 8192;
 /// `latency_ns: None`, which keeps clock reads off the common path.
 pub const LATENCY_SAMPLE_EVERY: u32 = 64;
 
-/// Records accumulated thread-locally before one batched push into the
-/// shared ring (one lock acquisition and one global sequence-block
-/// allocation per batch).
-pub const FLUSH_BATCH: usize = 256;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// One thread's bounded event ring plus its latency histograms. Shared
-/// (behind a mutex) between the owning thread's flushes and cross-thread
-/// [`snapshot`] readers; the hot path never touches it except in batches.
+/// One audit's bounded event ring plus its latency histograms.
 #[derive(Default)]
 struct Ring {
     buf: VecDeque<Record>,
+    next_seq: u64,
     /// Oldest-record drops forced by the capacity bound.
     truncated: u64,
     hist: BTreeMap<&'static str, LatencyHist>,
 }
 
 impl Ring {
-    /// Appends a batch under one sequence-block allocation, then trims
-    /// to capacity from the front (oldest records go first).
-    fn push_batch(
-        &mut self,
-        events: std::vec::Drain<'_, Event>,
-        samples: std::vec::Drain<'_, (&'static str, u64)>,
-    ) {
-        let first = SEQ.fetch_add(events.len() as u64, Ordering::Relaxed);
-        self.buf.extend(
-            events.enumerate().map(|(i, event)| Record { seq: first + i as u64, event }),
-        );
-        while self.buf.len() > RING_CAPACITY {
+    fn push(&mut self, event: Event) {
+        self.buf.push_back(Record { seq: self.next_seq, event });
+        self.next_seq += 1;
+        if self.buf.len() > RING_CAPACITY {
             self.buf.pop_front();
             self.truncated += 1;
         }
-        for (name, ns) in samples {
-            self.hist.entry(name).or_default().record(ns);
-        }
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The audit log of one owner (a kernel or a VM): its enable flag and
+/// its ring. Disabled by default. **Trusted**: reach it through the
+/// owner, never through a subject's handle (see the module docs).
+#[derive(Default)]
+pub struct Audit {
+    enabled: AtomicBool,
+    ring: Mutex<Ring>,
 }
 
-/// All of one thread's tracing state, in a single TLS slot so the hot
-/// path pays one TLS lookup: the stage for the in-flight syscall
-/// attempt, the pending batch awaiting a ring flush, the syscall nesting
-/// depth, and the latency-sampling tick.
-struct Local {
-    ring: Arc<Mutex<Ring>>,
-    staged: Vec<Event>,
-    pending: Vec<Event>,
-    pending_samples: Vec<(&'static str, u64)>,
-    depth: u32,
+impl fmt::Debug for Audit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Audit").field("enabled", &self.enabled()).finish_non_exhaustive()
+    }
+}
+
+/// The syscall attempt in flight on this thread (when its kernel's audit
+/// is enabled): the events its body staged, plus the thread's
+/// latency-sampling tick.
+struct Stage {
+    open: bool,
+    events: Vec<Event>,
     tick: u32,
 }
 
-impl Local {
-    fn new() -> Self {
-        let ring = Arc::new(Mutex::new(Ring::default()));
-        registry().lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&ring));
-        Local {
-            ring,
-            staged: Vec::new(),
-            pending: Vec::new(),
-            pending_samples: Vec::new(),
-            depth: 0,
-            tick: 0,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.pending.is_empty() && self.pending_samples.is_empty() {
-            return;
-        }
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_batch(self.pending.drain(..), self.pending_samples.drain(..));
-    }
-
-    fn maybe_flush(&mut self) {
-        if self.pending.len() >= FLUSH_BATCH || self.pending_samples.len() >= FLUSH_BATCH
-        {
-            self.flush();
-        }
-    }
-}
-
-impl Drop for Local {
-    /// Thread exit flushes whatever the thread committed but had not yet
-    /// batched out, so short-lived worker threads lose nothing.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 thread_local! {
-    static LOCAL: RefCell<Local> = RefCell::new(Local::new());
+    static STAGE: RefCell<Stage> =
+        const { RefCell::new(Stage { open: false, events: Vec::new(), tick: 0 }) };
 }
 
-/// Enables or disables tracing process-wide. Disabled is the default;
-/// every emit point degrades to a single relaxed atomic load.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether tracing is currently enabled.
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Records one event. No-op when tracing is disabled. Inside a syscall
-/// dispatch the event is staged (and reaches the ring only if the
-/// attempt is final — see the module docs); outside, it joins the
-/// thread's pending batch directly.
-#[inline]
+/// Stages one event for the syscall attempt in flight on this thread. A
+/// no-op when no stage is open: outside a syscall, or while the kernel's
+/// audit is disabled.
 pub fn emit(event: Event) {
-    if !enabled() {
-        return;
-    }
-    emit_slow(event);
-}
-
-#[cold]
-fn emit_slow(event: Event) {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.depth > 0 {
-            l.staged.push(event);
-        } else {
-            l.pending.push(event);
-            l.maybe_flush();
+    STAGE.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.open {
+            s.events.push(event);
         }
     });
 }
 
-/// An in-flight syscall dispatch: marks the thread as inside a syscall
-/// so emits stage instead of landing directly, and (when this dispatch
-/// is latency-sampled) holds the start timestamp. Obtained from
-/// [`syscall_begin`]; finished with [`SyscallSpan::commit`] or
-/// [`SyscallSpan::rollback`] (dropping it without finishing discards the
-/// staged events).
+impl Audit {
+    /// A disabled, empty audit.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Enables or disables recording into this audit.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::SeqCst);
+    }
+
+    /// Whether this audit records.
+    #[inline]
+    #[must_use]
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records one event outside any syscall (VM barriers and regions).
+    /// No-op when disabled.
+    pub fn record(&self, event: Event) {
+        if self.enabled() {
+            self.ring().push(event);
+        }
+    }
+
+    /// Opens this thread's stage for one syscall dispatch. Returns `None`
+    /// (and costs one atomic load) when disabled. Spans do not nest: a
+    /// syscall body never issues another syscall.
+    #[must_use]
+    pub fn syscall_begin(&self, name: &'static str) -> Option<SyscallSpan<'_>> {
+        if !self.enabled() {
+            return None;
+        }
+        let sampled = STAGE.with(|s| {
+            let mut s = s.borrow_mut();
+            s.open = true;
+            let sampled = s.tick % LATENCY_SAMPLE_EVERY == 0;
+            s.tick = s.tick.wrapping_add(1);
+            sampled
+        });
+        Some(SyscallSpan { audit: self, name, start: sampled.then(Instant::now) })
+    }
+
+    /// Copies the ring into an [`AuditLog`] without draining it.
+    /// **Trusted read API** (see the module docs).
+    #[must_use]
+    pub fn snapshot(&self) -> AuditLog {
+        let ring = self.ring();
+        AuditLog {
+            records: ring.buf.iter().copied().collect(),
+            truncated: ring.truncated,
+            histograms: ring.hist.clone(),
+        }
+    }
+}
+
+/// An in-flight syscall dispatch on an enabled [`Audit`]: this thread's
+/// stage is open, and (when this dispatch is latency-sampled) the span
+/// holds the start timestamp. Finished with [`SyscallSpan::commit`] or
+/// [`SyscallSpan::rollback`]; dropping it closes the stage and discards
+/// whatever is staged.
 #[derive(Debug)]
-pub struct SyscallSpan {
+pub struct SyscallSpan<'a> {
+    audit: &'a Audit,
     name: &'static str,
     start: Option<Instant>,
 }
 
-impl Drop for SyscallSpan {
+impl Drop for SyscallSpan<'_> {
     fn drop(&mut self) {
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            l.depth = l.depth.saturating_sub(1);
-            l.staged.clear();
+        STAGE.with(|s| {
+            let mut s = s.borrow_mut();
+            s.open = false;
+            s.events.clear();
         });
     }
 }
 
-/// Starts a syscall span. Returns `None` (and costs one atomic load)
-/// when tracing is disabled.
-#[must_use]
-pub fn syscall_begin(name: &'static str) -> Option<SyscallSpan> {
-    if !enabled() {
-        return None;
-    }
-    let sampled = LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.depth += 1;
-        let sampled = l.tick % LATENCY_SAMPLE_EVERY == 0;
-        l.tick = l.tick.wrapping_add(1);
-        sampled
-    });
-    Some(SyscallSpan { name, start: sampled.then(Instant::now) })
-}
-
-impl SyscallSpan {
+impl SyscallSpan<'_> {
     /// Discards events staged by an attempt that is about to rerun
     /// (footprint restart): the body re-executes, so its decisions must
     /// not be recorded twice.
     pub fn retry(&self) {
-        LOCAL.with(|l| l.borrow_mut().staged.clear());
+        STAGE.with(|s| s.borrow_mut().events.clear());
     }
 
     fn latency_ns(&self) -> Option<u64> {
         self.start.map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 
-    /// Flushes the span as a final outcome. A **decision-bearing**
+    /// Records the span as a final outcome. A **decision-bearing**
     /// dispatch — one that staged at least one event, or ended in a
     /// typed denial — records `SyscallEnter`, the staged body events,
     /// then `SyscallCommit` (with `denied` naming the typed error, if
-    /// any) contiguously in the thread's pending batch. A decision-free
-    /// success leaves no records at all: its cached allows were logged
-    /// when first computed, so an Enter/Commit pair would tell the
-    /// auditor nothing — and *not* logging it keeps enabled tracing
+    /// any), contiguously and under one ring lock. A decision-free
+    /// success leaves no records at all: an Enter/Commit pair would tell
+    /// the auditor nothing, and *not* logging it keeps enabled tracing
     /// nearly free on the hot path. Either way, a sampled latency joins
     /// the per-syscall histogram.
     pub fn commit(self, ticket: u64, denied: Option<&'static str>) {
         let latency_ns = self.latency_ns();
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            let Local { staged, pending, pending_samples, .. } = &mut *l;
-            if !staged.is_empty() || denied.is_some() {
-                pending.push(Event::SyscallEnter { name: self.name });
-                pending.append(staged);
-                pending.push(Event::SyscallCommit {
+        STAGE.with(|s| {
+            let mut s = s.borrow_mut();
+            let decided = !s.events.is_empty() || denied.is_some();
+            if !decided && latency_ns.is_none() {
+                return;
+            }
+            let mut ring = self.audit.ring();
+            if decided {
+                ring.push(Event::SyscallEnter { name: self.name });
+                for event in s.events.drain(..) {
+                    ring.push(event);
+                }
+                ring.push(Event::SyscallCommit {
                     name: self.name,
                     ticket,
                     latency_ns,
@@ -497,44 +456,34 @@ impl SyscallSpan {
                 });
             }
             if let Some(ns) = latency_ns {
-                pending_samples.push((self.name, ns));
+                ring.hist.entry(self.name).or_default().record(ns);
             }
-            l.maybe_flush();
         });
     }
 
-    /// Flushes the span as a caught-panic rollback: the staged decision
+    /// Records the span as a caught-panic rollback: the staged decision
     /// events are discarded (the body's effects were undone) and only
     /// `SyscallEnter` + `SyscallRollback` are recorded.
     pub fn rollback(self, ticket: u64) {
         let latency_ns = self.latency_ns();
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            l.staged.clear();
-            l.pending.push(Event::SyscallEnter { name: self.name });
-            l.pending.push(Event::SyscallRollback {
-                name: self.name,
-                ticket,
-                latency_ns,
-            });
-            if let Some(ns) = latency_ns {
-                l.pending_samples.push((self.name, ns));
-            }
-            l.maybe_flush();
-        });
+        let mut ring = self.audit.ring();
+        ring.push(Event::SyscallEnter { name: self.name });
+        ring.push(Event::SyscallRollback { name: self.name, ticket, latency_ns });
+        if let Some(ns) = latency_ns {
+            ring.hist.entry(self.name).or_default().record(ns);
+        }
     }
 }
 
-/// A merged, ordered snapshot of every thread's ring: the trusted
-/// audit log.
+/// A snapshot of one [`Audit`]: the trusted audit log of its owner.
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
-    /// All records, sorted by global sequence number.
+    /// The records still in the ring, in sequence order.
     pub records: Vec<Record>,
-    /// Total records discarded by ring-capacity truncation, across all
-    /// threads. Non-zero means the log is a suffix, not a full history.
+    /// Oldest records discarded by the ring-capacity bound. Non-zero
+    /// means the log is a suffix, not a full history.
     pub truncated: u64,
-    /// Per-syscall latency histograms, merged across threads.
+    /// Per-syscall latency histograms.
     pub histograms: BTreeMap<&'static str, LatencyHist>,
 }
 
@@ -584,9 +533,9 @@ fn json_str(s: &str) -> String {
 
 fn record_json(r: &Record) -> String {
     let body = match &r.event {
-        Event::FlowCheck { layer, op, subject, object, verdict, cache_hit } => format!(
+        Event::FlowCheck { layer, op, subject, object, verdict } => format!(
             "\"type\":\"flow_check\",\"layer\":\"{}\",\"op\":{},\"subject\":{subject},\
-             \"object\":{object},\"verdict\":\"{}\",\"cache_hit\":{cache_hit}",
+             \"object\":{object},\"verdict\":\"{}\"",
             layer.as_str(),
             json_str(op),
             if *verdict == Verdict::Allow { "allow" } else { "deny" },
@@ -630,141 +579,76 @@ fn record_json(r: &Record) -> String {
     format!("{{\"seq\":{},{body}}}", r.seq)
 }
 
-/// Snapshots every thread's ring into one ordered [`AuditLog`] without
-/// draining anything. **Trusted read API**: reachable from `Kernel`-level
-/// code and tests only — see the module docs for why no syscall exposes
-/// it.
-///
-/// The calling thread's pending batch is flushed first; *other* live
-/// threads' batches appear after their next flush (or their exit, which
-/// flushes) — snapshots taken mid-run can lag those threads by up to one
-/// batch.
-#[must_use]
-pub fn snapshot() -> AuditLog {
-    LOCAL.with(|l| l.borrow_mut().flush());
-    let rings: Vec<Arc<Mutex<Ring>>> =
-        registry().lock().unwrap_or_else(PoisonError::into_inner).clone();
-    let mut log = AuditLog::default();
-    for ring in rings {
-        let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-        log.records.extend(ring.buf.iter().copied());
-        log.truncated += ring.truncated;
-        for (name, h) in &ring.hist {
-            let merged = log.histograms.entry(name).or_default();
-            for (dst, src) in merged.buckets.iter_mut().zip(h.buckets.iter()) {
-                *dst += src;
-            }
-        }
-    }
-    log.records.sort_by_key(|r| r.seq);
-    log
-}
-
-/// Drains and returns the *current thread's* ring, in order. The
-/// single-threaded conformance harness uses this to bracket the audit
-/// delta of one operation. **Trusted read API** (see module docs).
-#[must_use]
-pub fn take_local() -> Vec<Record> {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.flush();
-        let mut ring = l.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.truncated = 0;
-        ring.buf.drain(..).collect()
-    })
-}
-
-/// Clears every ring, histogram and truncation counter, plus the calling
-/// thread's staged and pending batches (the enabled flag is left as-is).
-/// For tests and benchmarks that need a clean baseline.
-pub fn reset() {
-    let rings: Vec<Arc<Mutex<Ring>>> =
-        registry().lock().unwrap_or_else(PoisonError::into_inner).clone();
-    for ring in rings {
-        let mut ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.buf.clear();
-        ring.truncated = 0;
-        ring.hist.clear();
-    }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.staged.clear();
-        l.pending.clear();
-        l.pending_samples.clear();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests share process-global state (the enabled flag and the ring
-    /// registry), so they serialize on one mutex.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     fn drop_event() -> Event {
         Event::SilentDrop { channel: DropChannel::Pipe }
     }
 
+    fn enabled_audit() -> Audit {
+        let audit = Audit::new();
+        audit.set_enabled(true);
+        audit
+    }
+
     #[test]
-    fn disabled_emits_nothing() {
-        let _g = serial();
-        set_enabled(false);
-        reset();
-        let _ = take_local();
+    fn disabled_audit_records_nothing() {
+        let audit = Audit::new();
+        assert!(audit.syscall_begin("noop").is_none());
         emit(drop_event());
-        assert!(syscall_begin("noop").is_none());
-        assert!(take_local().is_empty());
+        audit.record(drop_event());
+        assert!(audit.snapshot().records.is_empty());
+    }
+
+    #[test]
+    fn audits_are_independent() {
+        let (on, off) = (enabled_audit(), Audit::new());
+        let span = on.syscall_begin("write").expect("enabled");
+        assert!(off.syscall_begin("write").is_none());
+        emit(drop_event());
+        span.commit(1, None);
+        off.record(drop_event());
+        assert_eq!(on.snapshot().records.len(), 3, "enter, drop, commit");
+        assert!(off.snapshot().records.is_empty());
     }
 
     #[test]
     fn ring_wraparound_counts_truncation() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
+        let audit = enabled_audit();
         let total = RING_CAPACITY as u64 + 6;
         for ticket in 0..total {
-            emit(Event::SyscallCommit {
+            audit.record(Event::SyscallCommit {
                 name: "w",
                 ticket,
                 latency_ns: None,
                 denied: None,
             });
         }
-        let log = snapshot();
+        let log = audit.snapshot();
         assert_eq!(log.truncated, 6, "6 pushes past capacity drop the 6 oldest");
-        // The survivors are the *newest* records, in order.
-        let tickets: Vec<u64> = take_local()
-            .iter()
-            .map(|r| match r.event {
-                Event::SyscallCommit { ticket, .. } => ticket,
-                _ => u64::MAX,
-            })
-            .collect();
-        assert!(tickets.into_iter().eq(6..total));
-        set_enabled(false);
+        // The survivors are the *newest* records, in order, numbered densely.
+        assert!(log.records.iter().map(|r| r.seq).eq(6..total));
+        let tickets = log.records.iter().map(|r| match r.event {
+            Event::SyscallCommit { ticket, .. } => ticket,
+            _ => u64::MAX,
+        });
+        assert!(tickets.eq(6..total));
     }
 
     #[test]
     fn staged_events_flush_on_commit_and_clear_on_retry() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
-
+        let audit = enabled_audit();
         // Attempt 1 stages an event, then restarts: nothing recorded.
-        let span = syscall_begin("write").expect("enabled");
+        let span = audit.syscall_begin("write").expect("enabled");
         emit(drop_event());
         span.retry();
         // Attempt 2 stages again and commits: exactly one drop recorded.
         emit(drop_event());
         span.commit(7, None);
 
-        let recs = take_local();
+        let recs = audit.snapshot().records;
         let drops =
             recs.iter().filter(|r| matches!(r.event, Event::SilentDrop { .. })).count();
         assert_eq!(drops, 1, "retry must discard the first attempt's stage");
@@ -776,43 +660,33 @@ mod tests {
             recs.last().map(|r| r.event),
             Some(Event::SyscallCommit { name: "write", ticket: 7, denied: None, .. })
         ));
-        set_enabled(false);
     }
 
     #[test]
     fn rollback_discards_staged_decisions() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
-        let span = syscall_begin("kill").expect("enabled");
+        let audit = enabled_audit();
+        let span = audit.syscall_begin("kill").expect("enabled");
         emit(drop_event());
         span.rollback(9);
-        let recs = take_local();
+        let recs = audit.snapshot().records;
         assert!(recs.iter().all(|r| !matches!(r.event, Event::SilentDrop { .. })));
         assert!(matches!(
             recs.last().map(|r| r.event),
             Some(Event::SyscallRollback { name: "kill", ticket: 9, .. })
         ));
-        set_enabled(false);
     }
 
     #[test]
     fn unfinished_span_discards_stage_on_drop() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
+        let audit = enabled_audit();
         {
-            let _span = syscall_begin("open").expect("enabled");
+            let _span = audit.syscall_begin("open").expect("enabled");
             emit(drop_event());
             // dropped without commit/rollback
         }
-        assert!(take_local().is_empty());
-        // And the thread is no longer "inside a syscall": emits go direct.
+        // Nothing recorded, and the stage is closed: emits go nowhere.
         emit(drop_event());
-        assert_eq!(take_local().len(), 1);
-        set_enabled(false);
+        assert!(audit.snapshot().records.is_empty());
     }
 
     #[test]
@@ -833,22 +707,18 @@ mod tests {
 
     #[test]
     fn one_dispatch_per_period_is_latency_sampled() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        // A fresh thread starts its sampling tick at zero. Each span
-        // stages a drop so its commit is decision-bearing and recorded.
-        let recs = std::thread::spawn(|| {
-            for i in 0..2 * u64::from(LATENCY_SAMPLE_EVERY) {
-                let span = syscall_begin("seek").expect("enabled");
-                emit(drop_event());
-                span.commit(i, None);
-            }
-            take_local()
-        })
-        .join()
-        .expect("worker");
-        let commits: Vec<Option<u64>> = recs
+        let audit = enabled_audit();
+        // Any 2 * LATENCY_SAMPLE_EVERY consecutive dispatches on a thread
+        // hold exactly two sampled ones. Each span stages a drop so its
+        // commit is decision-bearing and recorded.
+        for i in 0..2 * u64::from(LATENCY_SAMPLE_EVERY) {
+            let span = audit.syscall_begin("seek").expect("enabled");
+            emit(drop_event());
+            span.commit(i, None);
+        }
+        let log = audit.snapshot();
+        let commits: Vec<Option<u64>> = log
+            .records
             .iter()
             .filter_map(|r| match r.event {
                 Event::SyscallCommit { latency_ns, .. } => Some(latency_ns),
@@ -857,90 +727,71 @@ mod tests {
             .collect();
         assert_eq!(commits.len(), 2 * LATENCY_SAMPLE_EVERY as usize);
         assert_eq!(commits.iter().filter(|l| l.is_some()).count(), 2);
-        assert_eq!(snapshot().histograms.get("seek").map(LatencyHist::count), Some(2));
-        set_enabled(false);
+        assert_eq!(log.histograms.get("seek").map(LatencyHist::count), Some(2));
     }
 
     #[test]
     fn decision_free_success_leaves_no_records() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        // A fresh thread's first dispatch is latency-sampled.
-        std::thread::spawn(|| {
-            // No staged events, no denial: nothing lands in the ring…
-            let span = syscall_begin("read").expect("enabled");
-            span.commit(1, None);
-            assert!(take_local().is_empty());
-            // …but the sampled latency still feeds the histogram…
-            assert!(snapshot().histograms.get("read").is_some_and(|h| h.count() >= 1));
-            // …and a denied commit with no staged events is still recorded.
-            let span = syscall_begin("read").expect("enabled");
-            span.commit(2, Some("flow"));
-            let recs = take_local();
-            assert!(matches!(
-                recs.last().map(|r| r.event),
-                Some(Event::SyscallCommit { denied: Some("flow"), .. })
-            ));
-        })
-        .join()
-        .expect("worker");
-        set_enabled(false);
+        let audit = enabled_audit();
+        // No staged events, no denial: nothing lands in the ring…
+        for i in 0..u64::from(LATENCY_SAMPLE_EVERY) {
+            audit.syscall_begin("read").expect("enabled").commit(i, None);
+        }
+        let log = audit.snapshot();
+        assert!(log.records.is_empty());
+        // …but the one sampled latency still feeds the histogram…
+        assert_eq!(log.histograms.get("read").map(LatencyHist::count), Some(1));
+        // …and a denied commit with no staged events is still recorded.
+        audit.syscall_begin("read").expect("enabled").commit(99, Some("flow"));
+        assert!(matches!(
+            audit.snapshot().records.last().map(|r| r.event),
+            Some(Event::SyscallCommit { denied: Some("flow"), .. })
+        ));
+    }
+
+    #[test]
+    fn concurrent_commits_are_numbered_densely() {
+        let audit = enabled_audit();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for i in 0..8 {
+                        let span = audit.syscall_begin("write").expect("enabled");
+                        emit(drop_event());
+                        span.commit(i, None);
+                    }
+                });
+            }
+        });
+        let log = audit.snapshot();
+        assert!(log.records.iter().map(|r| r.seq).eq(0..4 * 8 * 3));
+        // Each commit's three records are contiguous: one lock per commit.
+        for chunk in log.records.chunks(3) {
+            assert!(matches!(chunk[0].event, Event::SyscallEnter { .. }));
+            assert!(matches!(chunk[1].event, Event::SilentDrop { .. }));
+            assert!(matches!(chunk[2].event, Event::SyscallCommit { .. }));
+        }
     }
 
     #[test]
     fn json_lines_export_is_one_object_per_line() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
-        let span = syscall_begin("write").expect("enabled");
+        let audit = enabled_audit();
+        let span = audit.syscall_begin("write").expect("enabled");
         emit(Event::QuotaExceeded { resource: "file size" });
         span.commit(3, Some("quota"));
-        let log = snapshot();
-        let json = log.to_json_lines();
+        // One more period of dispatches holds one latency-sampled dispatch.
+        for i in 0..u64::from(LATENCY_SAMPLE_EVERY) {
+            audit.syscall_begin("read").expect("enabled").commit(i, None);
+        }
+        let json = audit.snapshot().to_json_lines();
         let lines: Vec<&str> = json.lines().collect();
-        assert!(lines.len() >= 4, "3 records + histogram + summary");
+        assert!(lines.len() >= 5, "3 records + histogram + summary");
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "not an object: {l}");
         }
         assert!(json.contains("\"type\":\"quota_exceeded\""));
         assert!(json.contains("\"denied\":\"quota\""));
         assert!(json.contains("\"type\":\"histogram\""));
-        let _ = take_local();
-        set_enabled(false);
-    }
-
-    #[test]
-    fn snapshot_merges_threads_in_seq_order() {
-        let _g = serial();
-        set_enabled(true);
-        reset();
-        let _ = take_local();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..8 {
-                        emit(drop_event());
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("worker");
-        }
-        let log = snapshot();
-        let drops = log
-            .records
-            .iter()
-            .filter(|r| matches!(r.event, Event::SilentDrop { .. }))
-            .count();
-        assert!(drops >= 32);
-        for w in log.records.windows(2) {
-            assert!(w[0].seq < w[1].seq, "snapshot must be seq-sorted");
-        }
-        reset();
-        set_enabled(false);
     }
 }
 
@@ -951,33 +802,30 @@ mod micro {
     #[test]
     #[ignore = "manual microbenchmark"]
     fn span_cost() {
-        set_enabled(true);
-        reset();
-        let _ = take_local();
+        let audit = Audit::new();
+        audit.set_enabled(true);
         let n = 2_000_000u64;
         let t = Instant::now();
         for i in 0..n {
-            let s = syscall_begin("x").unwrap();
+            let s = audit.syscall_begin("x").unwrap();
             s.commit(i, None);
         }
         let per = t.elapsed().as_nanos() as f64 / n as f64;
         eprintln!("enabled span+commit: {per:.1} ns/syscall");
         let t = Instant::now();
         for _ in 0..n {
-            emit(Event::SilentDrop { channel: DropChannel::Pipe });
+            audit.record(Event::SilentDrop { channel: DropChannel::Pipe });
         }
         let per = t.elapsed().as_nanos() as f64 / n as f64;
-        eprintln!("enabled emit (direct): {per:.1} ns/event");
-        set_enabled(false);
+        eprintln!("enabled record (direct): {per:.1} ns/event");
+        audit.set_enabled(false);
         let t = Instant::now();
         for i in 0..n {
-            let s = syscall_begin("x");
-            if let Some(s) = s {
+            if let Some(s) = audit.syscall_begin("x") {
                 s.commit(i, None);
             }
         }
         let per = t.elapsed().as_nanos() as f64 / n as f64;
         eprintln!("disabled span+commit: {per:.1} ns/syscall");
-        reset();
     }
 }

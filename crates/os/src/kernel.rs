@@ -25,6 +25,7 @@ use crate::txn::{IdCache, Quotas, Txn};
 use crate::vfs::file::Fd;
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
+use laminar_obs::Audit;
 use laminar_util::sync::Mutex;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -190,6 +191,8 @@ pub struct Kernel {
     commit_seq: AtomicU64,
     commit_log_on: AtomicBool,
     commit_log: Mutex<Vec<CommitRecord>>,
+    /// This kernel's decision trace (trusted; see [`Kernel::audit`]).
+    audit: Audit,
     pub(crate) module: Box<dyn SecurityModule>,
     pub(crate) tags: TagAllocator,
     pub(crate) quotas: Quotas,
@@ -239,6 +242,15 @@ impl std::fmt::Debug for Kernel {
 ///     let _ = task.pipe_msgs_for_test(laminar_os::Fd(0));
 /// }
 /// ```
+///
+/// nor read the kernel's decision trace ([`Kernel::audit`]), which
+/// records the drops a subject must not see:
+///
+/// ```compile_fail
+/// fn peek(task: &laminar_os::TaskHandle) {
+///     let _ = task.audit();
+/// }
+/// ```
 #[derive(Clone, Debug)]
 pub struct TaskHandle {
     pub(crate) kernel: Arc<Kernel>,
@@ -278,6 +290,7 @@ impl Kernel {
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
+            audit: Audit::new(),
             module: Box::new(module),
             tags,
             quotas,
@@ -316,6 +329,15 @@ impl Kernel {
         Arc::new(kernel)
     }
 
+    /// This kernel's decision trace: every silent drop, LSM denial,
+    /// label change, quota rejection and typed denial its syscalls
+    /// decided, once each. Disabled at boot. **Trusted**: no
+    /// [`TaskHandle`] method reaches it.
+    #[must_use]
+    pub fn audit(&self) -> &Audit {
+        &self.audit
+    }
+
     /// The resource quotas this kernel was booted with.
     #[must_use]
     pub fn quotas(&self) -> &Quotas {
@@ -347,11 +369,11 @@ impl Kernel {
         name: &'static str,
         mut f: impl FnMut(&mut Txn<'_>) -> OsResult<T>,
     ) -> OsResult<T> {
-        // Audit span: `None` (one atomic load) while tracing is
-        // disabled. Events the body emits are staged on the span and
+        // Audit span: `None` (one atomic load) while this kernel's audit
+        // is disabled. Events the body emits are staged on the span and
         // reach the ring only on a final outcome; footprint restarts
         // discard the attempt's stage so decisions record exactly once.
-        let span = laminar_obs::syscall_begin(name);
+        let span = self.audit.syscall_begin(name);
         let mut footprint: BTreeSet<ShardKey> = BTreeSet::new();
         footprint.insert(ShardKey::task(tid));
         let mut ids = IdCache::default();

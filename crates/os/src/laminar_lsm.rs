@@ -28,14 +28,14 @@ use laminar_difc::SecPair;
 pub struct LaminarModule;
 
 /// Stages an OS-layer `FlowCheck` audit event for a **denied** hook
-/// check (no-op while tracing is disabled). Allowed flows are not logged
-/// here: the difc layer records each verdict when it is first computed,
-/// and a dispatch that allows everything it checks is decision-free (it
-/// leaves no records at all) — re-logging every per-hook allow would put
-/// an emit on each path component of every traversal. Denials are the
-/// slow path and carry the subject/object detail the typed error cannot.
+/// check (no-op unless the kernel's audit has a syscall stage open).
+/// Allowed flows are not logged: a dispatch that allows everything it
+/// checks is decision-free and leaves no records, and logging every
+/// per-hook allow would put an emit on each path component of every
+/// traversal. Denials are the slow path and carry the subject/object
+/// detail the typed error cannot.
 fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: bool) {
-    if allowed || !laminar_obs::enabled() {
+    if allowed {
         return;
     }
     laminar_obs::emit(laminar_obs::Event::FlowCheck {
@@ -43,12 +43,7 @@ fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: b
         op,
         subject: subject.id().as_u32(),
         object: object.id().as_u32(),
-        verdict: if allowed {
-            laminar_obs::Verdict::Allow
-        } else {
-            laminar_obs::Verdict::Deny
-        },
-        cache_hit: false,
+        verdict: laminar_obs::Verdict::Deny,
     });
 }
 

@@ -110,7 +110,7 @@ impl TaskHandle {
             self.kernel.module.task_set_label(&sec, &new_pair)?;
             // Audit the (now fully approved) transition. Declassify =
             // the release direction: secrecy shrank or integrity grew.
-            if laminar_obs::enabled() {
+            if self.kernel.audit().enabled() {
                 let (ty, declassify) = match ty {
                     LabelType::Secrecy => {
                         ("secrecy", !sec.labels.secrecy().is_subset_of(&new))

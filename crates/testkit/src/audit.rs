@@ -13,14 +13,17 @@
 //! audit trail can't be reconciled against the commit-ticket
 //! linearization. Both directions are checked per op.
 //!
-//! The harness is single-threaded and brackets each op with
-//! [`laminar_obs::take_local`], so the audit delta of one op is exact —
-//! no cross-thread noise, no attribution guesswork.
+//! Each trace runs on a fresh kernel whose own audit is enabled, plus
+//! the replay's VM-barrier audit; nothing else in the process writes to
+//! either. Sequence numbers are dense per audit, so the records past the
+//! last one seen are exactly one op's delta — no cross-test noise, no
+//! attribution guesswork, and tests in parallel need no serialisation.
 
 use crate::oracle::{DenyKind, MDrop, Oracle, Outcome};
 use crate::replay::KernelReplay;
 use crate::trace::Op;
-use laminar_obs::{self as obs, Event, Layer, Record, Verdict};
+use laminar_obs::{self as obs, Audit, Event, Layer, Record, Verdict};
+use std::sync::Arc;
 
 /// Aggregate counts from one audit-completeness run; each counter is a
 /// prediction that was matched exactly once in the log.
@@ -175,14 +178,15 @@ fn audit_one(
     Ok(tally)
 }
 
-/// Restores the previous audit-enabled state even if a check panics or
-/// errors out mid-trace.
-struct EnabledGuard;
-
-impl Drop for EnabledGuard {
-    fn drop(&mut self) {
-        obs::set_enabled(false);
+/// The records `audit` gained since sequence number `next`; advances
+/// `next` past them.
+fn records_since(audit: &Audit, next: &mut u64) -> Vec<Record> {
+    let fresh: Vec<Record> =
+        audit.snapshot().records.into_iter().filter(|r| r.seq >= *next).collect();
+    if let Some(last) = fresh.last() {
+        *next = last.seq + 1;
     }
+    fresh
 }
 
 /// Replays one trace with tracing enabled, checking conformance *and*
@@ -195,10 +199,12 @@ pub fn run_audit_trace(ops: &[Op]) -> Result<AuditTally, String> {
     let mut oracle = Oracle::new();
     let mut kernel = KernelReplay::new();
     // Enable only after the fixture boots so setup syscalls don't land
-    // in the log; drain whatever a previous run left on this thread.
-    obs::set_enabled(true);
-    let _guard = EnabledGuard;
-    let _ = obs::take_local();
+    // in the log.
+    let (under_test, vm_audit) =
+        (Arc::clone(kernel.kernel()), Arc::clone(kernel.vm_audit()));
+    under_test.audit().set_enabled(true);
+    vm_audit.set_enabled(true);
+    let (mut kernel_next, mut vm_next) = (0, 0);
 
     let mut tally = AuditTally::default();
     for (i, op) in ops.iter().enumerate() {
@@ -209,7 +215,8 @@ pub fn run_audit_trace(ops: &[Op]) -> Result<AuditTally, String> {
                 "op {i} ({op:?}) diverged: kernel {kernel_out:?} vs oracle {oracle_out:?}"
             ));
         }
-        let records = obs::take_local();
+        let mut records = records_since(under_test.audit(), &mut kernel_next);
+        records.extend(records_since(&vm_audit, &mut vm_next));
         match audit_one(op, &oracle_out, oracle.predicted_drop, &records) {
             Ok(t) => tally.absorb(t),
             Err(e) => return Err(format!("op {i} ({op:?}): {e}")),

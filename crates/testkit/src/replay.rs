@@ -16,6 +16,7 @@ use crate::trace::{
 };
 use laminar_difc::Tag;
 use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair};
+use laminar_obs::Audit;
 use laminar_os::{
     Fd, Kernel, LaminarModule, OpenMode, OsError, Quotas, Signal, TaskHandle, UserId,
 };
@@ -36,6 +37,9 @@ pub struct KernelReplay {
     pipes: Vec<(Fd, Fd)>,
     /// Model tag index → kernel tag.
     tags: Vec<Tag>,
+    /// The audit replayed [`Op::VmBarrier`] checks record into: the
+    /// stand-in for a VM's own audit, since no VM runs here.
+    vm_audit: Arc<Audit>,
 }
 
 /// Maps a kernel error to the coarse [`DenyKind`] the oracle speaks.
@@ -107,7 +111,13 @@ impl KernelReplay {
             }));
         }
 
-        KernelReplay { kernel, tasks, pipes: vec![p0, p1, p2], tags: vec![t0, t1] }
+        KernelReplay {
+            kernel,
+            tasks,
+            pipes: vec![p0, p1, p2],
+            tags: vec![t0, t1],
+            vm_audit: Arc::new(Audit::new()),
+        }
     }
 
     /// Poisons one kernel lock shard (by ordinal, wrapping at
@@ -121,6 +131,13 @@ impl KernelReplay {
     #[must_use]
     pub fn kernel(&self) -> &Arc<Kernel> {
         &self.kernel
+    }
+
+    /// The audit the replayed VM-barrier checks record into (disabled
+    /// until enabled; shared with every cloned view).
+    #[must_use]
+    pub fn vm_audit(&self) -> &Arc<Audit> {
+        &self.vm_audit
     }
 
     /// The task handles of the fixture, index-aligned with the oracle's
@@ -281,9 +298,17 @@ impl KernelReplay {
                 let thread =
                     self.tasks[task as usize % nt].current_labels().expect("task labels");
                 let r = if write {
-                    laminar_vm::conformance::barrier_write_check(&thread, &obj)
+                    laminar_vm::conformance::barrier_write_check(
+                        &thread,
+                        &obj,
+                        &self.vm_audit,
+                    )
                 } else {
-                    laminar_vm::conformance::barrier_read_check(&obj, &thread)
+                    laminar_vm::conformance::barrier_read_check(
+                        &obj,
+                        &thread,
+                        &self.vm_audit,
+                    )
                 };
                 match r {
                     Ok(()) => Outcome::Ok,

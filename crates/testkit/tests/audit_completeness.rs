@@ -4,20 +4,17 @@
 //! quota rejection, VM-barrier verdict — must appear in the trusted
 //! audit log exactly once, and nothing unpredicted may appear.
 //!
-//! The audit-enabled flag is process-global, so the tests in this file
-//! serialize on one mutex.
+//! Each kernel owns its audit, so these tests run in parallel with no
+//! serialisation; the last two pin that isolation.
 
+use laminar_difc::{Label, LabelType};
+use laminar_obs::{DropChannel, Event};
+use laminar_os::{Kernel, LaminarModule, TaskHandle, UserId};
 use laminar_testkit::{assert_audit_completeness, run_audit_trace, ExploreConfig, Op};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 #[test]
 fn audit_log_is_complete_over_the_seed_matrix() {
-    let _g = serial();
     let cfg = ExploreConfig::from_env(laminar_testkit::FaultPlan::none());
     let tally =
         assert_audit_completeness(&cfg.seeds, cfg.traces_per_seed, cfg.ops_per_trace);
@@ -46,7 +43,6 @@ fn audit_log_is_complete_over_the_seed_matrix() {
 
 #[test]
 fn quota_denial_is_audited_exactly_once_across_fd_and_oneshot_paths() {
-    let _g = serial();
     // A file created in /tmp, then a sparse write straddling the quota:
     // offset 4999 + 4 bytes > 4096 ⇒ Denied(Quota) with exactly one
     // QuotaExceeded event and one denied commit — the regression shape
@@ -65,7 +61,6 @@ fn quota_denial_is_audited_exactly_once_across_fd_and_oneshot_paths() {
 
 #[test]
 fn flow_vetoed_zero_byte_pipe_write_is_still_an_audited_drop() {
-    let _g = serial();
     // Task 2 (no capabilities) writes zero bytes to the S{0}-labeled
     // pipe 1... allowed (unlabeled → labeled flows). Use the reverse:
     // taint task 0 with S{0}, then write to the unlabeled pipe 0 — the
@@ -79,4 +74,54 @@ fn flow_vetoed_zero_byte_pipe_write_is_still_an_audited_drop() {
     ];
     let tally = run_audit_trace(&ops).expect("audit-complete");
     assert_eq!(tally.drops_matched, 1);
+}
+
+/// Boots a kernel with one task that is tainted after creating an
+/// unlabeled pipe, so each write it makes there is a §5.2 silent drop.
+/// Returns the task and the pipe's write end.
+fn dropping_writer() -> (Arc<Kernel>, TaskHandle, laminar_os::Fd) {
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    let task = kernel.login(UserId(1)).expect("login");
+    let tag = task.alloc_tag().expect("tag");
+    let (_rx, tx) = task.pipe().expect("pipe");
+    task.set_task_label(LabelType::Secrecy, Label::singleton(tag)).expect("taint");
+    (kernel, task, tx)
+}
+
+fn drops(kernel: &Kernel) -> usize {
+    kernel
+        .audit()
+        .snapshot()
+        .records
+        .iter()
+        .filter(|r| r.event == Event::SilentDrop { channel: DropChannel::Pipe })
+        .count()
+}
+
+#[test]
+fn a_kernel_records_only_its_own_decisions() {
+    let (audited, a, a_tx) = dropping_writer();
+    let (quiet, q, q_tx) = dropping_writer();
+    audited.audit().set_enabled(true);
+    a.write(a_tx, b"x").expect("silently dropped");
+    q.write(q_tx, b"x").expect("silently dropped");
+    assert_eq!(drops(&audited), 1);
+    assert!(quiet.audit().snapshot().records.is_empty());
+}
+
+#[test]
+fn drops_of_short_lived_threads_are_visible_right_after_the_joins() {
+    let (kernel, task, tx) = dropping_writer();
+    kernel.audit().set_enabled(true);
+    let workers: Vec<_> = (0..64)
+        .map(|_| {
+            let task = task.clone();
+            std::thread::spawn(move || task.write(tx, b"x").expect("silently dropped"))
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("worker");
+    }
+    assert_eq!(drops(&kernel), 64);
 }

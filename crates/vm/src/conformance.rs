@@ -9,50 +9,61 @@
 
 use crate::error::{VmError, VmResult};
 use laminar_difc::SecPair;
+use laminar_obs::{Audit, Event, Layer, Verdict};
 
-/// Decision-trace hook for the audit subsystem: reports a VM-barrier
-/// verdict to `laminar-obs`. `#[cold]` and called only behind an
-/// `enabled()` check, so the disabled-mode barrier cost is one relaxed
-/// atomic load on top of the flow check itself.
+/// Records a VM-barrier verdict in `audit`. `#[cold]` and called only
+/// behind an `enabled()` check, so the disabled-mode barrier cost is one
+/// relaxed atomic load on top of the flow check itself.
 #[cold]
-fn trace_barrier(op: &'static str, subject: &SecPair, object: &SecPair, allowed: bool) {
-    laminar_obs::emit(laminar_obs::Event::FlowCheck {
-        layer: laminar_obs::Layer::Vm,
+fn trace_barrier(
+    audit: &Audit,
+    op: &'static str,
+    subject: &SecPair,
+    object: &SecPair,
+    allowed: bool,
+) {
+    audit.record(Event::FlowCheck {
+        layer: Layer::Vm,
         op,
         subject: subject.id().as_u32(),
         object: object.id().as_u32(),
-        verdict: if allowed {
-            laminar_obs::Verdict::Allow
-        } else {
-            laminar_obs::Verdict::Deny
-        },
-        cache_hit: false,
+        verdict: if allowed { Verdict::Allow } else { Verdict::Deny },
     });
 }
 
 /// The in-region **read** barrier check: reading `obj` is a flow
 /// `obj → thread`, so it requires `S_obj ⊆ S_thread` and
-/// `I_thread ⊆ I_obj` (§4.3.2).
+/// `I_thread ⊆ I_obj` (§4.3.2). The verdict is recorded in `audit`
+/// when it is enabled.
 ///
 /// # Errors
 /// [`VmError::Flow`] naming the violated component.
-pub fn barrier_read_check(obj: &SecPair, thread: &SecPair) -> VmResult<()> {
+pub fn barrier_read_check(
+    obj: &SecPair,
+    thread: &SecPair,
+    audit: &Audit,
+) -> VmResult<()> {
     let r = obj.can_flow_to_cached(thread).map_err(VmError::from);
-    if laminar_obs::enabled() {
-        trace_barrier("barrier_read", thread, obj, r.is_ok());
+    if audit.enabled() {
+        trace_barrier(audit, "barrier_read", thread, obj, r.is_ok());
     }
     r
 }
 
 /// The in-region **write** barrier check: writing `obj` is a flow
-/// `thread → obj`, with the symmetric subset requirements.
+/// `thread → obj`, with the symmetric subset requirements. The verdict
+/// is recorded in `audit` when it is enabled.
 ///
 /// # Errors
 /// [`VmError::Flow`] naming the violated component.
-pub fn barrier_write_check(thread: &SecPair, obj: &SecPair) -> VmResult<()> {
+pub fn barrier_write_check(
+    thread: &SecPair,
+    obj: &SecPair,
+    audit: &Audit,
+) -> VmResult<()> {
     let r = thread.can_flow_to_cached(obj).map_err(VmError::from);
-    if laminar_obs::enabled() {
-        trace_barrier("barrier_write", thread, obj, r.is_ok());
+    if audit.enabled() {
+        trace_barrier(audit, "barrier_write", thread, obj, r.is_ok());
     }
     r
 }
@@ -68,14 +79,16 @@ mod tests {
 
     #[test]
     fn read_is_flow_into_thread() {
-        assert!(barrier_read_check(&s(300_001), &s(300_001)).is_ok());
-        assert!(barrier_read_check(&s(300_001), &SecPair::unlabeled()).is_err());
-        assert!(barrier_read_check(&SecPair::unlabeled(), &s(300_001)).is_ok());
+        let audit = Audit::new();
+        assert!(barrier_read_check(&s(300_001), &s(300_001), &audit).is_ok());
+        assert!(barrier_read_check(&s(300_001), &SecPair::unlabeled(), &audit).is_err());
+        assert!(barrier_read_check(&SecPair::unlabeled(), &s(300_001), &audit).is_ok());
     }
 
     #[test]
     fn write_is_flow_out_of_thread() {
-        assert!(barrier_write_check(&s(300_002), &SecPair::unlabeled()).is_err());
-        assert!(barrier_write_check(&SecPair::unlabeled(), &s(300_002)).is_ok());
+        let audit = Audit::new();
+        assert!(barrier_write_check(&s(300_002), &SecPair::unlabeled(), &audit).is_err());
+        assert!(barrier_write_check(&SecPair::unlabeled(), &s(300_002), &audit).is_ok());
     }
 }

@@ -16,6 +16,7 @@ use crate::program::Program;
 use crate::stats::VmStats;
 use crate::value::{ObjRef, Value};
 use laminar_difc::{CapKind, CapSet, Capability, Label, SecPair, Tag};
+use laminar_obs::{Audit, Event, Layer, Verdict};
 
 use std::sync::Arc;
 
@@ -68,6 +69,9 @@ pub struct Vm {
     bridge: Option<Box<dyn OsBridge>>,
     /// Labels currently pushed to the kernel task (`None` = unlabeled).
     kernel_labels: Option<SecPair>,
+    /// This VM's decision trace: barrier verdicts, region entries and
+    /// aborts.
+    audit: Audit,
 }
 
 impl Vm {
@@ -119,6 +123,7 @@ impl Vm {
             region_undo: Vec::new(),
             bridge: None,
             kernel_labels: None,
+            audit: Audit::new(),
         }
     }
 
@@ -137,6 +142,14 @@ impl Vm {
     /// Attaches the OS bridge for syscall instructions and label sync.
     pub fn set_bridge(&mut self, bridge: Box<dyn OsBridge>) {
         self.bridge = Some(bridge);
+    }
+
+    /// This VM's decision trace: every barrier verdict, region entry
+    /// and region abort, recorded while it is enabled (disabled at
+    /// creation). **Trusted**: the running program cannot reach it.
+    #[must_use]
+    pub fn audit(&self) -> &Audit {
+        &self.audit
     }
 
     /// Execution statistics so far.
@@ -354,16 +367,10 @@ impl Vm {
 
     fn enter_region(&mut self, spec_id: RegionSpecId) -> VmResult<()> {
         let r = self.enter_region_checked(spec_id);
-        if laminar_obs::enabled() {
-            laminar_obs::emit(laminar_obs::Event::RegionEnter {
-                layer: laminar_obs::Layer::Vm,
-                verdict: if r.is_ok() {
-                    laminar_obs::Verdict::Allow
-                } else {
-                    laminar_obs::Verdict::Deny
-                },
-            });
-        }
+        self.audit.record(Event::RegionEnter {
+            layer: Layer::Vm,
+            verdict: if r.is_ok() { Verdict::Allow } else { Verdict::Deny },
+        });
         r
     }
 
@@ -383,27 +390,8 @@ impl Vm {
                 CapKind::Minus => Capability::minus(tag),
             });
         }
-        // Rule (1) of §4.3.2: SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
-        for t in pair.secrecy().iter() {
-            if !self.caps.can_add(t) && !self.labels.secrecy().contains(t) {
-                return Err(VmError::RegionEntry(
-                    "thread lacks the capability or label for a region secrecy tag",
-                ));
-            }
-        }
-        for t in pair.integrity().iter() {
-            if !self.caps.can_add(t) && !self.labels.integrity().contains(t) {
-                return Err(VmError::RegionEntry(
-                    "thread lacks the capability or label for a region integrity tag",
-                ));
-            }
-        }
-        // Rule (2): CR ⊆ CP.
-        if !rcaps.is_subset_of(&self.caps) {
-            return Err(VmError::RegionEntry(
-                "region capabilities exceed the entering thread's",
-            ));
-        }
+        laminar_difc::check_region_entry(&self.labels, &self.caps, &pair, &rcaps)
+            .map_err(VmError::RegionEntry)?;
         self.regions.push(RegionFrame {
             saved_labels: std::mem::replace(&mut self.labels, pair),
             saved_caps: std::mem::replace(&mut self.caps, rcaps),
@@ -445,9 +433,7 @@ impl Vm {
             }
         }
         self.stats.regions_aborted += 1;
-        laminar_obs::emit(laminar_obs::Event::RegionAbort {
-            layer: laminar_obs::Layer::Vm,
-        });
+        self.audit.record(Event::RegionAbort { layer: Layer::Vm });
     }
 
     fn exit_region(&mut self) -> VmResult<()> {
@@ -517,13 +503,13 @@ impl Vm {
     fn barrier_read_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.read_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_read_check(&pair, &self.labels)
+        crate::conformance::barrier_read_check(&pair, &self.labels, &self.audit)
     }
 
     fn barrier_write_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.write_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_write_check(&self.labels, &pair)
+        crate::conformance::barrier_write_check(&self.labels, &pair, &self.audit)
     }
 
     fn barrier_out(&mut self, obj: ObjRef, is_read: bool) -> VmResult<()> {

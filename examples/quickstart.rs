@@ -49,8 +49,8 @@ fn main() -> Result<(), LaminarError> {
     // is confined to the region.
     let weaker =
         RegionParams::new().secrecy(Label::singleton(tag)).grant(Capability::plus(tag)); // note: no a- here
-    let fd = alice.task().create("/tmp/public.txt")?;
-    alice.task().close(fd)?;
+    let fd = alice.task()?.create("/tmp/public.txt")?;
+    alice.task()?.close(fd)?;
     let outcome = alice.secure(
         &weaker,
         |g| {

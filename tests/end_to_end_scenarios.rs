@@ -83,6 +83,32 @@ fn gradesheet_full_policy_sweep() {
 }
 
 #[test]
+fn freecs_server_queries_run_concurrently() {
+    // The queries enter regions on the one server principal; from many
+    // threads at once each must still succeed, never find that
+    // principal's region stack held by another thread.
+    let sys = Laminar::boot();
+    let srv = ChatServer::new(&sys).unwrap();
+    srv.login_user("owner", false).unwrap();
+    srv.create_group("lobby", "owner").unwrap();
+    srv.join("owner", "lobby").unwrap();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for i in 0..4 {
+            let (srv, start) = (&srv, &start);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..200 {
+                    assert_eq!(srv.theme("lobby").unwrap(), "default");
+                    assert_eq!(srv.list_groups().unwrap(), [("lobby".into(), 1)]);
+                }
+                srv.login_user(&format!("late{i}"), false).unwrap();
+            });
+        }
+    });
+}
+
+#[test]
 fn freecs_ban_policy_end_to_end() {
     let sys = Laminar::boot();
     let srv = ChatServer::new(&sys).unwrap();
@@ -122,12 +148,13 @@ fn raw_processes_are_constrained_by_the_os_alone() {
     // The modern app pre-creates a labeled file and fills it in-region.
     let fd = modern
         .task()
+        .unwrap()
         .create_file_labeled(
             "/tmp/modern.secret",
             laminar_difc::SecPair::secrecy_only(Label::singleton(t)),
         )
         .unwrap();
-    modern.task().close(fd).unwrap();
+    modern.task().unwrap().close(fd).unwrap();
     modern
         .secure(
             &params,
@@ -149,8 +176,8 @@ fn raw_processes_are_constrained_by_the_os_alone() {
     let fd = raw.create("/tmp/shared.txt").unwrap();
     raw.write(fd, b"hello").unwrap();
     raw.close(fd).unwrap();
-    let fd = modern.task().open("/tmp/shared.txt", OpenMode::Read).unwrap();
-    assert_eq!(modern.task().read(fd, 16).unwrap(), b"hello");
+    let fd = modern.task().unwrap().open("/tmp/shared.txt", OpenMode::Read).unwrap();
+    assert_eq!(modern.task().unwrap().read(fd, 16).unwrap(), b"hello");
 }
 
 #[test]

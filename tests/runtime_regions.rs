@@ -326,8 +326,8 @@ fn lazy_label_sync_elides_syscall_free_regions() {
     assert_eq!(p.stats().os_syncs_elided, 1);
 
     // With a syscall, exactly one sync happens.
-    let fd = p.task().create("/tmp/pre.txt").unwrap(); // pre-create unlabeled? no — labels empty outside
-    p.task().close(fd).unwrap();
+    let fd = p.task().unwrap().create("/tmp/pre.txt").unwrap(); // pre-create unlabeled? no — labels empty outside
+    p.task().unwrap().close(fd).unwrap();
     p.secure(
         &tagged_params(t),
         |g| {
@@ -346,9 +346,9 @@ fn lazy_label_sync_elides_syscall_free_regions() {
     assert_eq!(p.stats().os_syncs, 1);
 
     // After exit the kernel task is unlabeled again.
-    let fd = p.task().open("/tmp/pre.txt", OpenMode::Write).unwrap();
-    p.task().write(fd, b"y").unwrap();
-    p.task().close(fd).unwrap();
+    let fd = p.task().unwrap().open("/tmp/pre.txt", OpenMode::Write).unwrap();
+    p.task().unwrap().write(fd, b"y").unwrap();
+    p.task().unwrap().close(fd).unwrap();
 }
 
 #[test]
@@ -393,6 +393,144 @@ fn heterogeneous_thread_labels_in_one_process() {
     });
     assert_eq!(ha.join().unwrap(), Some(1));
     assert_eq!(hb.join().unwrap(), Some(2));
+}
+
+#[test]
+fn a_principal_region_stack_belongs_to_one_thread() {
+    // Thread A holds a secret inside an S{t} region on a shared
+    // principal. If thread B could now enter an empty region on the same
+    // principal, it would swap the unlabeled context in under A, and A's
+    // write barrier would let the secret into a public cell.
+    let (_sys, p) = alice();
+    let t = p.create_tag().unwrap();
+    let secret = p.secure(&tagged_params(t), |g| Ok(g.new_labeled(42)), |_| {}).unwrap();
+    let secret = secret.unwrap();
+    let public = Labeled::unlabeled(0);
+    let (a_read, b_tried, a_wrote) = (
+        std::sync::Barrier::new(2),
+        std::sync::Barrier::new(2),
+        std::sync::Barrier::new(2),
+    );
+    let b_entry = std::thread::scope(|s| {
+        s.spawn(|| {
+            p.secure(
+                &tagged_params(t),
+                |g| {
+                    let v = secret.read(g, |v| *v)?;
+                    a_read.wait();
+                    b_tried.wait();
+                    let written = public.write(g, |c| *c = v);
+                    a_wrote.wait();
+                    written
+                },
+                |_| {},
+            )
+            .unwrap()
+        });
+        s.spawn(|| {
+            a_read.wait();
+            let mut body_ran = false;
+            let entry = p.secure(
+                &RegionParams::new(),
+                |_| {
+                    body_ran = true;
+                    b_tried.wait();
+                    a_wrote.wait();
+                    Ok(())
+                },
+                |_| {},
+            );
+            if !body_ran {
+                b_tried.wait();
+                a_wrote.wait();
+            }
+            entry
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(matches!(b_entry, Err(LaminarError::RegionEntry(_))), "{b_entry:?}");
+    assert_eq!(public.read_dyn(|v| *v).unwrap(), 0, "the secret reached a public cell");
+    // Once A's region has exited, the principal is free for any thread.
+    let ok = std::thread::scope(|s| {
+        s.spawn(|| p.secure(&RegionParams::new(), |_| Ok(()), |_| {})).join().unwrap()
+    });
+    assert_eq!(ok.unwrap(), Some(()));
+}
+
+#[test]
+fn kernel_access_and_a_synced_region_exclude_each_other() {
+    // Thread A's region pushes {S(t)} to the principal's kernel task. If
+    // thread B could take the task meanwhile, it would read an {S(t)}
+    // file into plain memory and, once the tcb resets the task's labels
+    // at A's region exit, write it anywhere.
+    let (_sys, p) = alice();
+    let t = p.create_tag().unwrap();
+    let path = "/tmp/secret.txt";
+    let fd = p
+        .task()
+        .unwrap()
+        .create_file_labeled(path, SecPair::secrecy_only(Label::singleton(t)))
+        .unwrap();
+    p.task().unwrap().close(fd).unwrap();
+    let read_secret = |g: &laminar::RegionGuard<'_>| {
+        let os = g.os()?;
+        let fd = os.open(path, OpenMode::Read)?;
+        Ok(os.read(fd, 16)?)
+    };
+    p.secure(
+        &tagged_params(t),
+        |g| {
+            let os = g.os()?;
+            let fd = os.open(path, OpenMode::Write)?;
+            os.write(fd, b"42")?;
+            Ok(())
+        },
+        |_| {},
+    )
+    .unwrap()
+    .unwrap();
+
+    let (synced, tried) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    let b_read = std::thread::scope(|s| {
+        s.spawn(|| {
+            p.secure(
+                &tagged_params(t),
+                |g| {
+                    let pushed = g.os().map(|_| ());
+                    synced.wait();
+                    tried.wait();
+                    pushed
+                },
+                |_| {},
+            )
+            .unwrap()
+        });
+        s.spawn(|| {
+            synced.wait();
+            let read = p.task().and_then(|task| {
+                let fd = task.open(path, OpenMode::Read)?;
+                Ok(task.read(fd, 16)?)
+            });
+            tried.wait();
+            read
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(matches!(b_read, Err(LaminarError::Busy(_))), "{b_read:?}");
+
+    // The other order: B takes the task first. A's region opens, but its
+    // first syscall fails (confined) instead of labeling a task B holds.
+    let access = p.task().unwrap();
+    let a_read = std::thread::scope(|s| {
+        s.spawn(|| p.secure(&tagged_params(t), read_secret, |_| {})).join().unwrap()
+    });
+    assert_eq!(a_read.unwrap(), None);
+    assert!(access.open(path, OpenMode::Read).is_err(), "the task took A's labels");
+    drop(access);
+    let a_read = p.secure(&tagged_params(t), read_secret, |_| {}).unwrap();
+    assert_eq!(a_read, Some(b"42".to_vec()));
 }
 
 #[test]
